@@ -3,15 +3,26 @@
 
 GO ?= go
 
-.PHONY: all build test race bench allocs allocs-baseline kernels kernels-baseline overlap shard hier chaos sim sim-calibrate lint clean
+.PHONY: all build test purego goamd64-v3 race bench allocs allocs-baseline kernels kernels-baseline overlap shard hier chaos sim sim-calibrate lint clean
 
 all: lint build test
 
 build:
 	$(GO) build ./...
 
-test:
+test: purego goamd64-v3
 	$(GO) test ./...
+
+# The tensor and nn suites on the pure-Go GEMM kernel, which hosts without
+# AVX2 run; without the tag an AVX2 machine would only test the assembly.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn
+
+# The GEMM bitwise suites built for x86-64-v3 (needs an AVX2 host): a
+# tripwire in case a future toolchain starts fusing float32 multiply-add
+# into FMA, which would break bitwise equality with the assembly kernels.
+goamd64-v3:
+	GOAMD64=v3 $(GO) test -run 'GemmBitwise|GemmPacked' ./internal/tensor
 
 race:
 	$(GO) test -race -shuffle=on -timeout 40m ./...

@@ -16,11 +16,16 @@ import (
 // gemmResult is one GEMM shape's throughput at single-worker and full-pool
 // widths. gflops_serial is always the streaming (unpacked) kernel at one
 // worker — the historical reference every baseline was recorded against —
-// while gflops_packed_serial is the cache-blocked packed path at one worker
-// and gflops_pool is the default routing (packed above the flop threshold)
-// on the full pool. parallel_gain is pool over streaming-serial: the
+// while gflops_packed_serial is the packed microkernel path at one worker
+// and gflops_pool is the default routing (packed for whole 4×16 tiles at
+// k >= 16 with the AVX2 kernels, above 2^21 flops without) on the full
+// pool. role names the shape; the conv-* roles are the three GEMMs of one
+// TinyResNet conv layer. parallel_gain is pool over streaming-serial: the
 // headline packed+parallel win the issue gates at >= 2x on >= 4 CPUs.
 type gemmResult struct {
+	Role               string  `json:"role"`
+	TransA             bool    `json:"trans_a"`
+	TransB             bool    `json:"trans_b"`
 	M                  int     `json:"m"`
 	NDim               int     `json:"n"`
 	KDim               int     `json:"k"`
@@ -97,11 +102,20 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		Workers:    kernels.Workers(),
 	}
 
-	// GEMM: a square compute-bound shape and the short-wide im2col shape
-	// conv lowers to (outC x outH*outW with a small K).
-	shapes := []struct{ m, n, k int }{
-		{256, 256, 256},
-		{16, 784, 288}, // conv: 16 outC, 28x28 output, 8*6*6 columns
+	// GEMM: a square compute-bound shape, the short-wide im2col shape conv
+	// lowers to (outC x outH*outW with a small K), and the three GEMMs of
+	// TinyResNet's 16->16 3x3 conv on 16x16 maps (outC 16, 256 output
+	// pixels, 16*3*3 = 144 columns) as nn.Conv2D issues them.
+	shapes := []struct {
+		role           string
+		transA, transB bool
+		m, n, k        int
+	}{
+		{"square", false, false, 256, 256, 256},
+		{"conv", false, false, 16, 784, 288},            // 16 outC, 28x28 output, 8*6*6 columns
+		{"conv-forward", false, false, 16, 256, 144},    // W·cols
+		{"conv-weight-grad", false, true, 16, 144, 256}, // dW += g·colsᵀ
+		{"conv-col-grad", true, false, 144, 256, 16},    // dCols = Wᵀ·g
 	}
 	for _, sh := range shapes {
 		a := make([]float32, sh.m*sh.k)
@@ -118,15 +132,17 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		// Streaming serial reference: packed routing disabled, one worker.
 		prev := kernels.SetWorkers(1)
 		prevMin := tensor.SetPackedMinFlops(sh.m*sh.n*sh.k + 1)
-		sSerial, _ := timeIt(func() { tensor.Gemm(false, false, sh.m, sh.n, sh.k, 1, a, b, 0, c) })
+		gemm := func() { tensor.Gemm(sh.transA, sh.transB, sh.m, sh.n, sh.k, 1, a, b, 0, c) }
+		sSerial, _ := timeIt(gemm)
 		tensor.SetPackedMinFlops(0) // force packed at one worker
-		sPacked1, _ := timeIt(func() { tensor.Gemm(false, false, sh.m, sh.n, sh.k, 1, a, b, 0, c) })
+		sPacked1, _ := timeIt(gemm)
 		tensor.SetPackedMinFlops(prevMin)
 		kernels.SetWorkers(prev)
 		// Default routing on the full pool: the production hot path.
-		sPool, iters := timeIt(func() { tensor.Gemm(false, false, sh.m, sh.n, sh.k, 1, a, b, 0, c) })
+		sPool, iters := timeIt(gemm)
 
 		r := gemmResult{
+			Role: sh.role, TransA: sh.transA, TransB: sh.transB,
 			M: sh.m, NDim: sh.n, KDim: sh.k,
 			GFLOPSSerial:       flops / sSerial / 1e9,
 			GFLOPSPackedSerial: flops / sPacked1 / 1e9,
@@ -191,8 +207,8 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 
 	fmt.Printf("kernels workload: GOMAXPROCS=%d cpus=%d pool workers=%d\n", rep.GOMAXPROCS, rep.NumCPU, rep.Workers)
 	for _, g := range rep.Gemm {
-		fmt.Printf("  gemm %4dx%4dx%4d: %7.2f GFLOP/s stream-serial, %7.2f packed-serial, %7.2f pool (%.2fx)\n",
-			g.M, g.NDim, g.KDim, g.GFLOPSSerial, g.GFLOPSPackedSerial, g.GFLOPSPool, g.ParallelGain)
+		fmt.Printf("  gemm %-16s tA=%-5v tB=%-5v %4dx%4dx%4d: %7.2f GFLOP/s stream-serial, %7.2f packed-serial, %7.2f pool (%.2fx)\n",
+			g.Role, g.TransA, g.TransB, g.M, g.NDim, g.KDim, g.GFLOPSSerial, g.GFLOPSPackedSerial, g.GFLOPSPool, g.ParallelGain)
 	}
 	fmt.Printf("  conv fwd+bwd (batch %d): %7.2f ms serial, %7.2f ms pool (%.2fx, %.0f images/s)\n",
 		batch, rep.ConvMsSerial, rep.ConvMsPool, rep.ConvSpeedup, rep.ConvThroughputIS)
@@ -241,7 +257,7 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 			if i >= len(base.Gemm) {
 				break
 			}
-			if err := check(fmt.Sprintf("gemm[%d] GFLOP/s", i), g.GFLOPSPool, base.Gemm[i].GFLOPSPool); err != nil {
+			if err := check(fmt.Sprintf("gemm[%d] %s GFLOP/s", i, g.Role), g.GFLOPSPool, base.Gemm[i].GFLOPSPool); err != nil {
 				return err
 			}
 		}

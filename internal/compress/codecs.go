@@ -505,9 +505,6 @@ func (t TopK) Decompress(dst []float32, payload []byte) error {
 	}
 	for i := 0; i < k; i++ {
 		j := int(binary.LittleEndian.Uint32(payload[4+4*i:]))
-		if j >= len(dst) {
-			return fmt.Errorf("compress: topk index %d exceeds bucket length %d", j, len(dst))
-		}
 		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4+4*k+4*i:]))
 	}
 	return nil
@@ -525,15 +522,13 @@ func (t TopK) DecompressAdd(dst []float32, payload []byte) error {
 	}
 	for i := 0; i < k; i++ {
 		j := int(binary.LittleEndian.Uint32(payload[4+4*i:]))
-		if j >= len(dst) {
-			return fmt.Errorf("compress: topk index %d exceeds bucket length %d", j, len(dst))
-		}
 		dst[j] += math.Float32frombits(binary.LittleEndian.Uint32(payload[4+4*k+4*i:]))
 	}
 	return nil
 }
 
-// parse validates a topk payload against dst's length and returns k.
+// parse validates a topk payload against dst's length — its size and every
+// kept index — and returns k.
 func (TopK) parse(dst []float32, payload []byte) (int, error) {
 	if len(payload) < 4 {
 		return 0, fmt.Errorf("compress: topk payload %d bytes, want >= 4", len(payload))
@@ -544,6 +539,13 @@ func (TopK) parse(dst []float32, payload []byte) (int, error) {
 	}
 	if k > len(dst) {
 		return 0, fmt.Errorf("compress: topk k=%d exceeds bucket length %d", k, len(dst))
+	}
+	// Every index is checked before the caller writes anything, so a bad
+	// payload is rejected with dst untouched.
+	for i := 0; i < k; i++ {
+		if j := binary.LittleEndian.Uint32(payload[4+4*i:]); int(j) >= len(dst) {
+			return 0, fmt.Errorf("compress: topk index %d exceeds bucket length %d", j, len(dst))
+		}
 	}
 	return k, nil
 }

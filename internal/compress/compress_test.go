@@ -189,6 +189,34 @@ func TestDecompressRejectsBadPayloads(t *testing.T) {
 	}
 }
 
+// A topk payload whose last index is out of range must be rejected before
+// any entry lands: DecompressAdd leaves the accumulator exactly as it was,
+// and Decompress does not zero it.
+func TestTopKBadIndexLeavesDstUntouched(t *testing.T) {
+	src := []float32{0, 3, 0, -5, 0, 7, 0, 0}
+	payload := Encode(TopK{Ratio: 0.375}, src) // keeps indices 1, 3, 5
+	last := 4 + 4*2                            // the third (last) index slot
+	payload[last] = 8                          // == len(dst): out of range
+	for _, decode := range []struct {
+		name string
+		fn   func([]float32, []byte) error
+	}{
+		{"DecompressAdd", TopK{Ratio: 0.375}.DecompressAdd},
+		{"Decompress", TopK{Ratio: 0.375}.Decompress},
+	} {
+		dst := []float32{1, 2, 3, 4, 5, 6, 7, 8}
+		want := append([]float32(nil), dst...)
+		if err := decode.fn(dst, payload); err == nil {
+			t.Fatalf("%s: out-of-range index should error", decode.name)
+		}
+		for i := range dst {
+			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: dst[%d] = %v after a rejected payload, want %v", decode.name, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
 // The error-feedback identity: after Correct/Update, residual + sent ==
 // gradient + previous residual, so across steps the cumulative transmitted
 // mass equals the cumulative gradient mass exactly.

@@ -4,181 +4,229 @@ import (
 	"repro/internal/kernels"
 )
 
-// Cache-blocked packed GEMM: the hot loop for large products.
+// Cache-blocked packed GEMM: the hot loop for the conv-lowered products.
 //
-// The streaming kernels in matmul.go read A and B in place, which for big
-// operands means every micro-step pays strided, cache-hostile loads (column
-// accesses in the transpose cases, full-width B rows evicting each other).
-// This path first packs both operands into contiguous panels — A into
-// mr-tall row panels and B into nr-wide column strips, both laid out k-major
-// so the inner kernel streams them linearly — then runs an mr×nr
-// register-tiled microkernel over the packed panels: all mr·nr partial sums
-// live in registers across the whole k loop, cutting the per-FLOP memory
-// traffic from ~3 accesses (load B, load C, store C) to ~1/2.
+// The streaming kernels in matmul.go keep C in memory: every multiply-add
+// pays a load and a store of C, and the transpose cases walk A or B with a
+// column stride. This path instead runs a register-blocked microkernel on
+// 4×16 tiles of C (Goto & van de Geijn, "Anatomy of High-Performance Matrix
+// Multiplication", TOMS 2008): the 64 partial sums stay in eight 8-wide
+// registers across the whole k loop, and each step reuses one 16-wide row
+// of op(B) across four rows of op(A).
+//
+// Operands. op(A) is packed into 4-tall panels, k-major (dst[p*4+r]), so
+// the kernel reads one contiguous 4-value group per step. In the !transB
+// case op(B) is read in place through its row stride — its 16-wide rows are
+// already contiguous. In the transB case op(B)'s columns are rows of the
+// stored B, so they are packed into 16-wide k-major strips first.
+//
+// Kernels. On amd64 with AVX2 (and without the purego tag) the two 4×16
+// kernels are Go assembly (gemm_amd64.s); elsewhere a pure-Go kernel of the
+// same tile shape runs. One driver below serves both.
 //
 // Bitwise contract (the repo-wide determinism invariant): k is never split,
-// each C micro-tile is produced by exactly one task, and the microkernels
-// replay the serial reference's per-element operation sequence exactly —
+// each C element is produced by exactly one task, and the kernels replay
+// the serial reference's per-element operation sequence exactly —
 //
-//   - !transB (axpy order): the beta prologue, then for ascending p the
-//     update c[i][j] += s·b[p][j] with s = alpha·a[i][p], skipped when
-//     s == 0. The alpha multiply is folded into the A pack — the identical
-//     float32 product the serial kernel forms per (i, p) — and the skip
-//     tests the packed value, the identical condition.
-//   - transB (dot order): the accumulator starts at 0, sums a[i][p]·b[j][p]
-//     for ascending p, and lands as c[i][j] = beta-scaled C plus
-//     alpha·sum. A is packed unscaled here (the serial kernel multiplies by
+//   - !transB (axpy order): the tile gets the beta prologue (scaleRange),
+//     then for ascending p the update c[i][j] += s·b[p][j] with
+//     s = alpha·a[i][p], skipped when s == ±0. The alpha multiply is folded
+//     into the A pack — the identical float32 product the serial kernel
+//     forms per (i, p) — and the skip tests the packed value. The assembly
+//     multiplies with VMULPS and adds with VADDPS, two roundings per step
+//     exactly like Go's scalar s*b then +=, which Go never fuses into an
+//     FMA; a VFMADD would round once and change bits.
+//   - transB (dot order): the accumulator starts at +0, sums a[i][p]·b[j][p]
+//     for ascending p, and lands as c[i][j] = beta-scaled C plus alpha·sum
+//     (storeDot). A is packed unscaled here (the serial kernel multiplies by
 //     alpha only after the sum).
 //
-// Panels are pooled and reused across calls, so the steady state packs into
-// warm memory and allocates nothing.
+// Lanes of a vector register hold different columns j, never different p,
+// so vectorising changes which elements advance together, not the order of
+// any element's own sum.
+//
+// Panels are packed where they are used (see gemmPacked) into pooled
+// scratch, so the steady state packs into warm memory and allocates nothing.
 
 const (
-	// gemmMR × gemmNR is the microkernel tile: 16 scalar accumulators, the
-	// most the register file sustains before spills outweigh the reuse.
+	// gemmMR × gemmNR is the microkernel tile: four rows of two 8-wide
+	// registers, eight accumulators, leaving room for the two B halves, the
+	// broadcast A value and the products in the sixteen YMM registers.
 	gemmMR = 4
-	gemmNR = 4
+	gemmNR = 16
 )
 
-// minPackedFlops routes small products to the streaming kernels: below it
-// the two packing passes cost more than the locality they buy. A variable,
-// not a constant, so the equivalence tests can force the packed path on
-// small shapes.
-var minPackedFlops = 1 << 21
+// minPackedFlops routes small products to the streaming kernels. With the
+// AVX2 kernels the tile shape alone decides (see minPackedK), so it
+// defaults to 0; the pure-Go kernel only pays for packing above 2²¹. A
+// variable, not a constant, so the equivalence tests can force the packed
+// path on small shapes.
+var minPackedFlops = defaultPackedMinFlops()
+
+func defaultPackedMinFlops() int {
+	if useAVX2 {
+		return 0
+	}
+	return 1 << 21
+}
+
+// minPackedK is the measured depth gate for the AVX2 kernels. The streaming
+// kernel never touches a C row whose A values are all zero (ReLU-dead rows
+// of a weight gradient), while a 4×16 tile always loads and stores C, so a
+// shallow product loses: routing the Linear weight gradient at batch 2
+// (k = 2) through the tiles cut the mlp-int8 workload from 890 to 547
+// images/s. Tests lower it to cover small k.
+var minPackedK = 16
 
 // SetPackedMinFlops overrides the flop threshold above which Gemm routes
 // through the packed microkernel path and returns the previous value. It
 // exists so benchmarks can measure the streaming and packed paths on the
-// same shape (set it above m·n·k to force streaming); both paths produce
-// bitwise-identical results, so the override never changes outputs. Not
-// synchronized — call only around otherwise-quiescent Gemm use, as the
-// kernel benchmarks do.
+// same shape (set it above m·n·k to force streaming, to 0 to force packed
+// wherever a whole tile fits); both paths produce bitwise-identical
+// results, so the override never changes outputs. Not synchronized — call
+// only around otherwise-quiescent Gemm use, as the kernel benchmarks do.
 func SetPackedMinFlops(v int) int {
 	prev := minPackedFlops
 	minPackedFlops = v
 	return prev
 }
 
-// maxPackFloats bounds pooled panel memory (A panel + B panel, in floats);
-// products beyond it stream unpacked rather than double resident memory.
+// routePacked reports whether an m×n×k product runs packed: at least one
+// whole tile, above the flop threshold, and on AVX2 hosts deep enough.
+func routePacked(m, n, k int) bool {
+	if m < gemmMR || n < gemmNR || m*n*k < minPackedFlops {
+		return false
+	}
+	return !useAVX2 || k >= minPackedK
+}
+
+// maxPackFloats bounds pooled panel memory (A panels + per-task scratch, in
+// floats); products beyond it stream unpacked rather than grow the pool.
 const maxPackFloats = 1 << 24
 
-// packBuf is one pooled pair of packed panels.
-type packBuf struct {
-	a, b []float32
+// packedGemm is one packed call: its pooled panels plus the operands its
+// tile tasks read. It is pooled whole with its task bound once, so the
+// steady state dispatches onto the kernels pool without allocating.
+type packedGemm struct {
+	pa      []float32 // transB: every A panel, packed before dispatch
+	scratch []float32 // per task: one A panel (!transB) or one B strip (transB)
+
+	transA, transB bool
+	m, n, k        int
+	alpha, beta    float32
+	a, b, c        []float32
+
+	rowPanels, colStrips            int
+	colBlocks, panelsPer, stripsPer int
+
+	task func(t int) // g.tile, bound when g is made
 }
 
-// packPool recycles panels across Gemm calls — a bounded channel freelist,
+// packPool recycles calls across Gemms — a bounded channel freelist,
 // concurrency-safe for nested or concurrent Gemms.
-var packPool = make(chan *packBuf, 8)
+var packPool = make(chan *packedGemm, 8)
 
-func getPackBuf(an, bn int) *packBuf {
-	var p *packBuf
+func getPackedGemm(an, sn int) *packedGemm {
+	var g *packedGemm
 	select {
-	case p = <-packPool:
+	case g = <-packPool:
 	default:
-		p = &packBuf{}
+		g = &packedGemm{}
+		g.task = g.tile
 	}
-	if cap(p.a) < an {
-		p.a = make([]float32, an)
+	if cap(g.pa) < an {
+		g.pa = make([]float32, an)
 	}
-	if cap(p.b) < bn {
-		p.b = make([]float32, bn)
+	if cap(g.scratch) < sn {
+		g.scratch = make([]float32, sn)
 	}
-	p.a, p.b = p.a[:an], p.b[:bn]
-	return p
+	g.pa, g.scratch = g.pa[:an], g.scratch[:sn]
+	return g
 }
 
-func putPackBuf(p *packBuf) {
+func putPackedGemm(g *packedGemm) {
+	g.a, g.b, g.c = nil, nil, nil // do not pin the caller's operands
 	select {
-	case packPool <- p:
+	case packPool <- g:
 	default:
 	}
 }
 
-// gemmPacked runs the packed path when the problem is big enough to pay for
-// packing, reporting whether it handled the call. The packed region covers
-// the mr/nr-aligned prefix [0, mfull)×[0, nfull); the bottom row strip and
-// right column strip (at most mr-1 rows / nr-1 columns) run through the
-// streaming gemmTile over the unpacked operands — disjoint C regions, so
-// the combination is still exactly the serial reference per element.
+// gemmPacked runs the packed path when routePacked admits the shape,
+// reporting whether it handled the call. Gemm has already handled k == 0
+// and alpha == 0. The packed region covers the tile-aligned prefix
+// [0, mfull)×[0, nfull); the bottom row strip and right column strip (at
+// most 3 rows / 15 columns) run through the streaming gemmTile over the
+// unpacked operands — disjoint C regions, so the combination is still
+// exactly the serial reference per element.
+//
+// Panels are packed where they are used, one at a time, so pooled memory
+// stays at a panel or strip per task instead of a copy of each operand:
+//
+//   - !transB: each task packs one A panel (4·k floats) and runs it across
+//     its strips of B, read in place.
+//   - transB: A — the short operand of the conv weight gradient — is packed
+//     whole up front; each task packs one B strip (16·k floats) and runs
+//     every A panel against it. Tasks split columns, so each strip is
+//     packed once.
 func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) bool {
-	if k == 0 || alpha == 0 || m*n*k < minPackedFlops {
+	if !routePacked(m, n, k) {
 		return false
 	}
 	mfull := m - m%gemmMR
 	nfull := n - n%gemmNR
-	if mfull == 0 || nfull == 0 {
-		return false
-	}
-	if mfull*k+k*nfull > maxPackFloats {
-		return false
-	}
-	rowPanels := mfull / gemmMR
-	colStrips := nfull / gemmNR
-	pk := getPackBuf(mfull*k, k*nfull)
-	pa, pb := pk.a, pk.b
+	rowPanels, colStrips := mfull/gemmMR, nfull/gemmNR
 
-	// Pack passes parallelize over whole panels/strips — each is written by
-	// exactly one task, and packing is pure copying (plus the exact alpha
-	// fold), so chunk boundaries cannot affect a single packed bit. The
-	// grain keeps each task copying at least ~32K floats.
-	foldAlpha := !transB
-	kernels.RunRange(colStrips, 1+(1<<15)/(gemmNR*k), func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			packB(transB, s, n, k, b, pb[s*gemmNR*k:(s+1)*gemmNR*k])
-		}
-	})
-	kernels.RunRange(rowPanels, 1+(1<<15)/(gemmMR*k), func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			packA(transA, foldAlpha, t, m, k, alpha, a, pa[t*gemmMR*k:(t+1)*gemmMR*k])
-		}
-	})
-
-	// Tile the packed region over the pool in units of whole micro-tiles,
-	// preferring row splits and going 2-D for the short-and-wide conv
-	// shapes — the same heuristic as the streaming path, in mr/nr units.
+	// Tile the packed region over the pool in units of whole micro-tiles:
+	// the !transB order prefers row splits and goes 2-D for the
+	// short-and-wide conv shapes — the streaming path's heuristic in tile
+	// units — while the transB order splits columns only.
 	tiles := kernels.Workers()
 	if lim := m*n*k/minFlopsPerTile + 1; tiles > lim {
 		tiles = lim
 	}
-	rowBlocks := tiles
-	if rowBlocks > rowPanels {
-		rowBlocks = rowPanels
+	rowBlocks, colBlocks := 1, tiles
+	if !transB {
+		rowBlocks = tiles
+		if rowBlocks > rowPanels {
+			rowBlocks = rowPanels
+		}
+		colBlocks = (tiles + rowBlocks - 1) / rowBlocks
+		if lim := nfull / minTileCols; colBlocks > lim {
+			colBlocks = lim
+		}
 	}
-	colBlocks := (tiles + rowBlocks - 1) / rowBlocks
-	if lim := nfull / minTileCols; colBlocks > lim {
-		colBlocks = lim
+	if colBlocks > colStrips {
+		colBlocks = colStrips
 	}
 	if colBlocks < 1 {
 		colBlocks = 1
 	}
-	panelsPer := (rowPanels + rowBlocks - 1) / rowBlocks
-	stripsPer := (colStrips + colBlocks - 1) / colBlocks
-	kernels.Run(rowBlocks*colBlocks, func(t int) {
-		plo := (t / colBlocks) * panelsPer
-		phi := plo + panelsPer
-		if phi > rowPanels {
-			phi = rowPanels
+	tasks := rowBlocks * colBlocks
+
+	aFloats, perTask := 0, gemmMR*k
+	if transB {
+		aFloats, perTask = mfull*k, gemmNR*k
+	}
+	if aFloats+tasks*perTask > maxPackFloats {
+		return false
+	}
+	g := getPackedGemm(aFloats, tasks*perTask)
+	g.transA, g.transB, g.m, g.n, g.k = transA, transB, m, n, k
+	g.alpha, g.beta, g.a, g.b, g.c = alpha, beta, a, b, c
+	g.rowPanels, g.colStrips, g.colBlocks = rowPanels, colStrips, colBlocks
+	g.panelsPer = (rowPanels + rowBlocks - 1) / rowBlocks
+	g.stripsPer = (colStrips + colBlocks - 1) / colBlocks
+	if transB {
+		for t := 0; t < rowPanels; t++ {
+			packA(transA, false, t, m, k, alpha, a, g.pa[t*gemmMR*k:(t+1)*gemmMR*k])
 		}
-		slo := (t % colBlocks) * stripsPer
-		shi := slo + stripsPer
-		if shi > colStrips {
-			shi = colStrips
-		}
-		for pi := plo; pi < phi; pi++ {
-			ap := pa[pi*gemmMR*k : (pi+1)*gemmMR*k]
-			for si := slo; si < shi; si++ {
-				bp := pb[si*gemmNR*k : (si+1)*gemmNR*k]
-				ct := c[pi*gemmMR*n+si*gemmNR:]
-				if transB {
-					microDot(k, alpha, ap, bp, ct, n, beta)
-				} else {
-					microAxpy(k, ap, bp, ct, n, beta)
-				}
-			}
-		}
-	})
+	}
+	if tasks == 1 {
+		g.tile(0)
+	} else {
+		kernels.Run(tasks, g.task)
+	}
 
 	if mfull < m {
 		gemmTile(transA, transB, mfull, m, 0, n, m, n, k, alpha, a, b, beta, c)
@@ -186,13 +234,56 @@ func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 	if nfull < n {
 		gemmTile(transA, transB, 0, mfull, nfull, n, m, n, k, alpha, a, b, beta, c)
 	}
-	putPackBuf(pk)
+	putPackedGemm(g)
 	return true
+}
+
+// tile computes task t's block of whole micro-tiles.
+func (g *packedGemm) tile(t int) {
+	plo := (t / g.colBlocks) * g.panelsPer
+	phi := plo + g.panelsPer
+	if phi > g.rowPanels {
+		phi = g.rowPanels
+	}
+	slo := (t % g.colBlocks) * g.stripsPer
+	shi := slo + g.stripsPer
+	if shi > g.colStrips {
+		shi = g.colStrips
+	}
+	if plo >= phi || slo >= shi {
+		return
+	}
+	n, k, c := g.n, g.k, g.c
+	if !g.transB {
+		ap := g.scratch[t*gemmMR*k : (t+1)*gemmMR*k]
+		for pi := plo; pi < phi; pi++ {
+			for i := pi * gemmMR; i < (pi+1)*gemmMR; i++ {
+				scaleRange(c[i*n+slo*gemmNR:i*n+shi*gemmNR], g.beta)
+			}
+			packA(g.transA, true, pi, g.m, k, g.alpha, g.a, ap)
+			for si := slo; si < shi; si++ {
+				microAxpy(k, ap, g.b[si*gemmNR:], n, c[pi*gemmMR*n+si*gemmNR:], n)
+			}
+		}
+		return
+	}
+	bp := g.scratch[t*gemmNR*k : (t+1)*gemmNR*k]
+	var acc [gemmMR * gemmNR]float32
+	for si := slo; si < shi; si++ {
+		packB(si, k, g.b, bp)
+		for pi := plo; pi < phi; pi++ {
+			microDot(k, g.pa[pi*gemmMR*k:(pi+1)*gemmMR*k], bp, &acc)
+			ct := c[pi*gemmMR*n+si*gemmNR:]
+			for r := 0; r < gemmMR; r++ {
+				storeDot(ct[r*n:r*n+gemmNR], acc[r*gemmNR:(r+1)*gemmNR], g.alpha, g.beta)
+			}
+		}
+	}
 }
 
 // packA copies row panel `panel` (gemmMR rows of op(A)) into dst, k-major:
 // dst[p*mr+r] = op(A)[i0+r, p], times alpha when foldAlpha (the axpy
-// kernel's s = alpha·a[i][p], formed here once instead of mr·nr times).
+// kernel's s = alpha·a[i][p], formed here once instead of once per column).
 func packA(transA, foldAlpha bool, panel, m, k int, alpha float32, a, dst []float32) {
 	i0 := panel * gemmMR
 	if !transA {
@@ -242,163 +333,76 @@ func packA(transA, foldAlpha bool, panel, m, k int, alpha float32, a, dst []floa
 	}
 }
 
-// packB copies column strip `strip` (gemmNR columns of op(B)) into dst,
-// k-major: dst[p*nr+j] = op(B)[p, j0+j].
-func packB(transB bool, strip, n, k int, b, dst []float32) {
-	j0 := strip * gemmNR
-	if !transB {
-		for p := 0; p < k; p++ {
-			s := b[p*n+j0 : p*n+j0+4 : p*n+j0+4]
-			d := dst[4*p : 4*p+4 : 4*p+4]
-			d[0] = s[0]
-			d[1] = s[1]
-			d[2] = s[2]
-			d[3] = s[3]
-		}
-		return
-	}
-	// B stored n×k: op(B)[p, j] = b[j*k+p] — interleave four B rows k-major.
-	b0 := b[(j0+0)*k : (j0+0)*k+k : (j0+0)*k+k]
-	b1 := b[(j0+1)*k : (j0+1)*k+k : (j0+1)*k+k]
-	b2 := b[(j0+2)*k : (j0+2)*k+k : (j0+2)*k+k]
-	b3 := b[(j0+3)*k : (j0+3)*k+k : (j0+3)*k+k]
+// packB copies column strip `strip` of op(B) = Bᵀ (B stored n×k) into dst,
+// k-major: dst[p*nr+j] = b[(j0+j)*k+p] — sixteen B rows interleaved so the
+// dot kernel reads one contiguous 16-wide group per step.
+func packB(strip, k int, b, dst []float32) {
+	s := b[strip*gemmNR*k : (strip+1)*gemmNR*k]
 	for p := 0; p < k; p++ {
-		d := dst[4*p : 4*p+4 : 4*p+4]
-		d[0] = b0[p]
-		d[1] = b1[p]
-		d[2] = b2[p]
-		d[3] = b3[p]
+		d := dst[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
+		d[0], d[1], d[2], d[3] = s[p], s[k+p], s[2*k+p], s[3*k+p]
+		d[4], d[5], d[6], d[7] = s[4*k+p], s[5*k+p], s[6*k+p], s[7*k+p]
+		d[8], d[9], d[10], d[11] = s[8*k+p], s[9*k+p], s[10*k+p], s[11*k+p]
+		d[12], d[13], d[14], d[15] = s[12*k+p], s[13*k+p], s[14*k+p], s[15*k+p]
 	}
 }
 
-// microAxpy computes one 4×4 C tile in the !transB order: accumulators load
-// the beta-scaled C (the prologue, branch-compatible with scaleRange: 0,
-// untouched, or c·beta), then for ascending p each row adds s·b with the
-// packed s = alpha·a, skipped when s == 0 — per element, the serial
-// kernel's exact FP sequence. ap and bp are the k-major packed panels; ldc
-// is C's row stride.
-func microAxpy(k int, ap, bp []float32, c []float32, ldc int, beta float32) {
-	c0 := c[0*ldc : 0*ldc+4 : 0*ldc+4]
-	c1 := c[1*ldc : 1*ldc+4 : 1*ldc+4]
-	c2 := c[2*ldc : 2*ldc+4 : 2*ldc+4]
-	c3 := c[3*ldc : 3*ldc+4 : 3*ldc+4]
-	var c00, c01, c02, c03 float32
-	var c10, c11, c12, c13 float32
-	var c20, c21, c22, c23 float32
-	var c30, c31, c32, c33 float32
-	switch {
-	case beta == 1:
-		c00, c01, c02, c03 = c0[0], c0[1], c0[2], c0[3]
-		c10, c11, c12, c13 = c1[0], c1[1], c1[2], c1[3]
-		c20, c21, c22, c23 = c2[0], c2[1], c2[2], c2[3]
-		c30, c31, c32, c33 = c3[0], c3[1], c3[2], c3[3]
-	case beta != 0:
-		c00, c01, c02, c03 = c0[0]*beta, c0[1]*beta, c0[2]*beta, c0[3]*beta
-		c10, c11, c12, c13 = c1[0]*beta, c1[1]*beta, c1[2]*beta, c1[3]*beta
-		c20, c21, c22, c23 = c2[0]*beta, c2[1]*beta, c2[2]*beta, c2[3]*beta
-		c30, c31, c32, c33 = c3[0]*beta, c3[1]*beta, c3[2]*beta, c3[3]*beta
-	}
-	ap = ap[: 4*k : 4*k]
-	bp = bp[: 4*k : 4*k]
+// axpy4x16Go is the pure-Go axpy-order kernel: for ascending p, each row r
+// of the 4×16 C tile adds s·B[p, 0:16] with the packed s = ap[4p+r],
+// skipped when s == 0. ap is the k-major A panel, b points at op(B)[0, j0]
+// with row stride ldb, c at the tile's top-left with row stride ldc. The
+// tile has already had its beta prologue.
+func axpy4x16Go(k int, ap, b []float32, ldb int, c []float32, ldc int) {
 	for p := 0; p < k; p++ {
-		bq := bp[4*p : 4*p+4 : 4*p+4]
-		sq := ap[4*p : 4*p+4 : 4*p+4]
-		b0, b1, b2, b3 := bq[0], bq[1], bq[2], bq[3]
-		if s := sq[0]; s != 0 {
-			c00 += s * b0
-			c01 += s * b1
-			c02 += s * b2
-			c03 += s * b3
-		}
-		if s := sq[1]; s != 0 {
-			c10 += s * b0
-			c11 += s * b1
-			c12 += s * b2
-			c13 += s * b3
-		}
-		if s := sq[2]; s != 0 {
-			c20 += s * b0
-			c21 += s * b1
-			c22 += s * b2
-			c23 += s * b3
-		}
-		if s := sq[3]; s != 0 {
-			c30 += s * b0
-			c31 += s * b1
-			c32 += s * b2
-			c33 += s * b3
+		bq := b[p*ldb : p*ldb+gemmNR : p*ldb+gemmNR]
+		for r, s := range ap[gemmMR*p : gemmMR*p+gemmMR] {
+			if s == 0 {
+				continue
+			}
+			cr := c[r*ldc : r*ldc+gemmNR : r*ldc+gemmNR]
+			for j, bv := range bq {
+				cr[j] += s * bv
+			}
 		}
 	}
-	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
-	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
-	c2[0], c2[1], c2[2], c2[3] = c20, c21, c22, c23
-	c3[0], c3[1], c3[2], c3[3] = c30, c31, c32, c33
 }
 
-// microDot computes one 4×4 C tile in the transB order: accumulators start
-// at zero, sum a·b for ascending p (k never split — the running sum must
-// not round-trip memory mid-reduction), and store as beta-scaled C plus
-// alpha·sum — per element, the serial dot kernel's exact FP sequence.
-func microDot(k int, alpha float32, ap, bp []float32, c []float32, ldc int, beta float32) {
-	var c00, c01, c02, c03 float32
-	var c10, c11, c12, c13 float32
-	var c20, c21, c22, c23 float32
-	var c30, c31, c32, c33 float32
-	ap = ap[: 4*k : 4*k]
-	bp = bp[: 4*k : 4*k]
+// dot4x16Go is the pure-Go dot-order kernel: acc[16r+j] starts at +0 and
+// sums ap[4p+r]·bp[16p+j] for ascending p (k never split — the running sum
+// must not round-trip memory mid-reduction between tasks). ap and bp are
+// the k-major packed A panel and B strip.
+func dot4x16Go(k int, ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
+	*acc = [gemmMR * gemmNR]float32{}
 	for p := 0; p < k; p++ {
-		aq := ap[4*p : 4*p+4 : 4*p+4]
-		bq := bp[4*p : 4*p+4 : 4*p+4]
-		a0, a1, a2, a3 := aq[0], aq[1], aq[2], aq[3]
-		b0, b1, b2, b3 := bq[0], bq[1], bq[2], bq[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
+		bq := bp[gemmNR*p : gemmNR*p+gemmNR : gemmNR*p+gemmNR]
+		for r, av := range ap[gemmMR*p : gemmMR*p+gemmMR] {
+			row := acc[gemmNR*r : gemmNR*r+gemmNR : gemmNR*r+gemmNR]
+			for j, bv := range bq {
+				row[j] += av * bv
+			}
+		}
 	}
-	c0 := c[0*ldc : 0*ldc+4 : 0*ldc+4]
-	c1 := c[1*ldc : 1*ldc+4 : 1*ldc+4]
-	c2 := c[2*ldc : 2*ldc+4 : 2*ldc+4]
-	c3 := c[3*ldc : 3*ldc+4 : 3*ldc+4]
-	storeDot(c0, c00, c01, c02, c03, alpha, beta)
-	storeDot(c1, c10, c11, c12, c13, alpha, beta)
-	storeDot(c2, c20, c21, c22, c23, alpha, beta)
-	storeDot(c3, c30, c31, c32, c33, alpha, beta)
 }
 
-// storeDot lands one row of dot-order accumulators: c[j] = prologue(c[j]) +
+// storeDot lands one row of dot-order sums: c[j] = prologue(c[j]) +
 // alpha·acc[j], with the prologue branching exactly like scaleRange.
-func storeDot(c []float32, s0, s1, s2, s3, alpha, beta float32) {
+func storeDot(c, acc []float32, alpha, beta float32) {
+	c = c[:len(acc)]
 	switch {
 	case beta == 0:
 		// The explicit 0 + matches the serial sequence (zero the cell, then
 		// +=): it rounds a -0 product up to +0, which a bare assign would
 		// not.
-		c[0] = 0 + alpha*s0
-		c[1] = 0 + alpha*s1
-		c[2] = 0 + alpha*s2
-		c[3] = 0 + alpha*s3
+		for j, s := range acc {
+			c[j] = 0 + alpha*s
+		}
 	case beta == 1:
-		c[0] += alpha * s0
-		c[1] += alpha * s1
-		c[2] += alpha * s2
-		c[3] += alpha * s3
+		for j, s := range acc {
+			c[j] += alpha * s
+		}
 	default:
-		c[0] = c[0]*beta + alpha*s0
-		c[1] = c[1]*beta + alpha*s1
-		c[2] = c[2]*beta + alpha*s2
-		c[3] = c[3]*beta + alpha*s3
+		for j, s := range acc {
+			c[j] = c[j]*beta + alpha*s
+		}
 	}
 }

@@ -126,3 +126,207 @@ func TestGemmPackedLargeRouting(t *testing.T) {
 		}
 	}
 }
+
+// forcePacked routes every product with a whole 4×16 tile through the
+// packed path (no flop threshold, no depth gate) until the returned restore
+// runs.
+func forcePacked() (restore func()) {
+	prevFlops, prevK := minPackedFlops, minPackedK
+	minPackedFlops, minPackedK = 0, 0
+	return func() { minPackedFlops, minPackedK = prevFlops, prevK }
+}
+
+// eachKernel runs fn once per microkernel this host can execute: the AVX2
+// assembly when the CPU probe found it (and the build has it), and always
+// the pure-Go kernel of the same tile shape.
+func eachKernel(t *testing.T, fn func(t *testing.T)) {
+	hostAVX2 := useAVX2
+	defer func() { useAVX2 = hostAVX2 }()
+	if hostAVX2 {
+		useAVX2 = true
+		t.Run("avx2", fn)
+	} else {
+		t.Log("no AVX2 kernels on this build/host: testing the pure-Go kernel only")
+	}
+	useAVX2 = false
+	t.Run("go", fn)
+}
+
+// checkGemmBitwise runs Gemm on ±0-laden operands at every worker width
+// and fails unless C matches the serial reference bit for bit.
+func checkGemmBitwise(t *testing.T, rng *rand.Rand, transA, transB bool, m, n, k int, alpha, beta float32, widths []int) {
+	t.Helper()
+	a := packedSlice(rng, m*k)
+	b := packedSlice(rng, k*n)
+	c0 := packedSlice(rng, m*n)
+	want := append([]float32(nil), c0...)
+	gemmSerial(transA, transB, m, n, k, alpha, a, b, beta, want)
+	got := make([]float32, len(c0))
+	for _, w := range widths {
+		prev := kernels.SetWorkers(w)
+		copy(got, c0)
+		Gemm(transA, transB, m, n, k, alpha, a, b, beta, got)
+		kernels.SetWorkers(prev)
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("m%d n%d k%d tA%v tB%v alpha%v beta%v width %d: elem %d = %v (bits %x), want %v (bits %x)",
+					m, n, k, transA, transB, alpha, beta, w, i,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// convGemmShapes returns the m×n×k of the three GEMMs every conv layer of
+// TinyResNet (ResNet-8 on the benchmark's 16×16 crops) and SmallCNN (8×8
+// and 16×16 inputs) lowers to, per nn.Conv2D: forward W·cols, the weight
+// gradient dW += g·colsᵀ, and the column gradient dCols = Wᵀ·g.
+func convGemmShapes() []struct{ m, n, k int } {
+	convs := []struct{ inC, outC, kern, stride, pad, size int }{
+		{3, 16, 3, 1, 1, 16},  // tinyresnet.stem.conv
+		{16, 16, 3, 1, 1, 16}, // tinyresnet.s1.b0.{a,b}
+		{16, 32, 3, 2, 1, 16}, // tinyresnet.s2.b0.a
+		{32, 32, 3, 1, 1, 8},  // tinyresnet.s2.b0.b
+		{16, 32, 1, 2, 0, 16}, // tinyresnet.s2.b0.down
+		{32, 64, 3, 2, 1, 8},  // tinyresnet.s3.b0.a
+		{64, 64, 3, 1, 1, 4},  // tinyresnet.s3.b0.b
+		{32, 64, 1, 2, 0, 8},  // tinyresnet.s3.b0.down
+		{3, 8, 3, 1, 1, 8},    // smallcnn.c1, 8×8 input
+		{8, 16, 3, 1, 1, 4},   // smallcnn.c2, 8×8 input
+		{3, 8, 3, 1, 1, 16},   // smallcnn.c1, 16×16 input
+		{8, 16, 3, 1, 1, 8},   // smallcnn.c2, 16×16 input
+	}
+	var shapes []struct{ m, n, k int }
+	for _, cv := range convs {
+		out := ConvOutSize(cv.size, cv.kern, cv.stride, cv.pad)
+		colRows, colN := cv.inC*cv.kern*cv.kern, out*out
+		shapes = append(shapes,
+			struct{ m, n, k int }{cv.outC, colN, colRows}, // forward
+			struct{ m, n, k int }{cv.outC, colRows, colN}, // dW
+			struct{ m, n, k int }{colRows, colN, cv.outC}, // dCols
+		)
+	}
+	return shapes
+}
+
+// TestGemmPackedConvShapesBitwise pins both microkernels against the serial
+// reference on every conv-lowered shape of TinyResNet and SmallCNN, in all
+// four transpose cases and with beta 0, 1 and neither — bitwise, at worker
+// widths 1 and GOMAXPROCS+3, with the packed routing forced so every shape
+// with a whole tile runs the kernels.
+func TestGemmPackedConvShapesBitwise(t *testing.T) {
+	defer forcePacked()()
+	widths := []int{1, runtime.GOMAXPROCS(0) + 3}
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		for _, sh := range convGemmShapes() {
+			for _, transA := range []bool{false, true} {
+				for _, transB := range []bool{false, true} {
+					for _, beta := range []float32{0, 1, -0.75} {
+						checkGemmBitwise(t, rng, transA, transB, sh.m, sh.n, sh.k, 1, beta, widths)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGemmPackedTileEdgesBitwise walks the edges of the 4×16 tile and the
+// k ≥ 16 depth gate — n one short of, at, and one past one and two strips;
+// k around 16 — under both the production routing and forced packing, for
+// both microkernels.
+func TestGemmPackedTileEdgesBitwise(t *testing.T) {
+	widths := []int{1, 2}
+	for _, route := range []string{"default", "forced"} {
+		t.Run(route, func(t *testing.T) {
+			if route == "forced" {
+				defer forcePacked()()
+			}
+			eachKernel(t, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(19))
+				for _, m := range []int{3, 4, 9} {
+					for _, n := range []int{15, 16, 17, 31, 33} {
+						for _, k := range []int{15, 16, 17} {
+							for _, transA := range []bool{false, true} {
+								for _, transB := range []bool{false, true} {
+									for _, ab := range []struct{ alpha, beta float32 }{{1, 0}, {-0.5, 1}, {0.75, 0.25}} {
+										checkGemmBitwise(t, rng, transA, transB, m, n, k, ab.alpha, ab.beta, widths)
+									}
+								}
+							}
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestGemmPackedRouting pins which products take the packed path: on AVX2
+// any whole 4×16 tile at depth k ≥ 16 (so every TinyResNet conv GEMM, but
+// not the MLP's batch-2 products), elsewhere only products of ≥ 2²¹ flops.
+func TestGemmPackedRouting(t *testing.T) {
+	cases := []struct {
+		m, n, k    int
+		avx2, base bool // routed with the AVX2 kernels / the pure-Go kernel
+	}{
+		{16, 256, 144, true, false}, // tinyresnet s1 conv forward
+		{16, 144, 256, true, false}, // its weight gradient
+		{144, 256, 16, true, false}, // its column gradient
+		{4, 16, 16, true, false},    // one tile, minimum depth
+		{3, 256, 144, false, false}, // no whole tile row
+		{16, 15, 144, false, false}, // no whole tile column
+		{16, 256, 15, false, false}, // under the depth gate
+		{384, 768, 2, false, false}, // mlp Linear dW at batch 2
+		{2, 768, 384, false, false}, // mlp Linear forward at batch 2
+		{96, 160, 144, true, true},  // above 2²¹ flops
+	}
+	hostAVX2, prevFlops := useAVX2, minPackedFlops
+	defer func() { useAVX2, minPackedFlops = hostAVX2, prevFlops }()
+	for _, avx2 := range []bool{true, false} {
+		useAVX2 = avx2
+		minPackedFlops = defaultPackedMinFlops()
+		for _, c := range cases {
+			want := c.base
+			if avx2 {
+				want = c.avx2
+			}
+			if got := routePacked(c.m, c.n, c.k); got != want {
+				t.Errorf("avx2=%v: routePacked(%d, %d, %d) = %v, want %v", avx2, c.m, c.n, c.k, got, want)
+			}
+		}
+	}
+}
+
+// TestGemmPackedZeroAllocs: once warm, a packed conv GEMM allocates nothing
+// — pooled panels and a pooled call record with its tile task bound once —
+// for each of the three conv roles. It runs at one worker: wider, the
+// kernels pool recycles its own job descriptors only after the helpers
+// drain, which AllocsPerRun's GOMAXPROCS 1 starves.
+func TestGemmPackedZeroAllocs(t *testing.T) {
+	defer forcePacked()()
+	defer kernels.SetWorkers(kernels.SetWorkers(1))
+	const m, n, k = 16, 256, 144 // tinyresnet s1 conv forward
+	roles := []struct {
+		transA, transB bool
+		m, n, k        int
+	}{
+		{false, false, m, n, k}, // forward W·cols
+		{false, true, m, k, n},  // dW += g·colsᵀ
+		{true, false, k, n, m},  // dCols = Wᵀ·g
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, r := range roles {
+		if !routePacked(r.m, r.n, r.k) {
+			t.Fatalf("%dx%dx%d does not route packed", r.m, r.n, r.k)
+		}
+		a := packedSlice(rng, r.m*r.k)
+		b := packedSlice(rng, r.k*r.n)
+		c := make([]float32, r.m*r.n)
+		gemm := func() { Gemm(r.transA, r.transB, r.m, r.n, r.k, 1, a, b, 1, c) }
+		gemm() // warm the panel pool
+		if allocs := testing.AllocsPerRun(20, gemm); allocs != 0 {
+			t.Errorf("tA%v tB%v %dx%dx%d: %v allocs per Gemm, want 0", r.transA, r.transB, r.m, r.n, r.k, allocs)
+		}
+	}
+}
