@@ -3,20 +3,15 @@
 
 GO ?= go
 
-.PHONY: all build test purego goamd64-v3 race bench allocs allocs-baseline kernels kernels-baseline overlap shard hier chaos sim sim-calibrate lint clean
+.PHONY: all build test goamd64-v3 race bench allocs allocs-baseline kernels kernels-baseline overlap shard hier chaos sim sim-calibrate lint clean
 
 all: lint build test
 
 build:
 	$(GO) build ./...
 
-test: purego goamd64-v3
+test: goamd64-v3
 	$(GO) test ./...
-
-# The tensor and nn suites on the pure-Go GEMM kernel, which hosts without
-# AVX2 run; without the tag an AVX2 machine would only test the assembly.
-purego:
-	$(GO) test -tags purego ./internal/tensor ./internal/nn
 
 # The GEMM bitwise suites built for x86-64-v3 (needs an AVX2 host): a
 # tripwire in case a future toolchain starts fusing float32 multiply-add
@@ -91,8 +86,10 @@ sim:
 sim-calibrate:
 	$(GO) run ./cmd/benchtool -sim-calibrate -sim-mape-max 0.15 -json sim.json
 
+# The purego vet type-checks the build without the assembly GEMM kernels.
 lint:
 	$(GO) vet ./...
+	$(GO) vet -tags purego ./internal/tensor
 	gofmt -l . | tee /dev/stderr | test -z "$$(cat)"
 
 clean:

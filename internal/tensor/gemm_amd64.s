@@ -107,30 +107,39 @@ axpydone:
 	VZEROUPPER
 	RET
 
-// DOT_ROW adds ap[4p+r]·bp[16p : 16p+16] to row r's sums.
-#define DOT_ROW(off, acc0, acc1) \
-	VBROADCASTSS off(SI), Y10; \
+// DOT_ROW adds the A value at addr times bp[16p : 16p+16] to row r's sums.
+#define DOT_ROW(addr, acc0, acc1) \
+	VBROADCASTSS addr, Y10; \
 	VMULPS       Y8, Y10, Y11; \
 	VADDPS       Y11, acc0, acc0; \
 	VMULPS       Y9, Y10, Y12; \
 	VADDPS       Y12, acc1, acc1
 
-// func dot4x16AVX2(k int, ap, bp *float32, acc *[64]float32)
-TEXT ·dot4x16AVX2(SB), NOSPLIT, $0-32
+// func dot4x16AVX2(k int, a *float32, rs, ps int, bp *float32, acc *[64]float32)
+//
+// Row r's A value at step p is a[r*rs + p*ps], read in place. The sums
+// continue from acc (the caller zeroes it before the first depth chunk, so
+// they start at +0 like the serial kernel's `var s float32`) and go back
+// to acc at the end.
+TEXT ·dot4x16AVX2(SB), NOSPLIT, $0-48
 	MOVQ k+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ acc+24(FP), DX
+	MOVQ a+8(FP), SI
+	MOVQ rs+16(FP), R8
+	SHLQ $2, R8
+	MOVQ ps+24(FP), R9
+	SHLQ $2, R9
+	MOVQ bp+32(FP), DI
+	MOVQ acc+40(FP), DX
+	LEAQ (R8)(R8*2), R10
 
-	// Sums start at +0, like the serial kernel's `var s float32`.
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
+	VMOVUPS (DX), Y0
+	VMOVUPS 32(DX), Y1
+	VMOVUPS 64(DX), Y2
+	VMOVUPS 96(DX), Y3
+	VMOVUPS 128(DX), Y4
+	VMOVUPS 160(DX), Y5
+	VMOVUPS 192(DX), Y6
+	VMOVUPS 224(DX), Y7
 
 	TESTQ CX, CX
 	JZ    dotdone
@@ -138,11 +147,11 @@ TEXT ·dot4x16AVX2(SB), NOSPLIT, $0-32
 dotloop:
 	VMOVUPS (DI), Y8
 	VMOVUPS 32(DI), Y9
-	DOT_ROW(0, Y0, Y1)
-	DOT_ROW(4, Y2, Y3)
-	DOT_ROW(8, Y4, Y5)
-	DOT_ROW(12, Y6, Y7)
-	ADDQ $16, SI
+	DOT_ROW((SI), Y0, Y1)
+	DOT_ROW((SI)(R8*1), Y2, Y3)
+	DOT_ROW((SI)(R8*2), Y4, Y5)
+	DOT_ROW((SI)(R10*1), Y6, Y7)
+	ADDQ R9, SI
 	ADDQ $64, DI
 	DECQ CX
 	JNZ  dotloop

@@ -2,16 +2,14 @@
 
 package tensor
 
-// useAVX2 is false without the assembly kernels: every packed product runs
-// the pure-Go kernels, behind the 2²¹-flop threshold.
-var useAVX2 = false
+// useAVX2 is false without the assembly kernels, so routePacked sends every
+// product to the streaming kernels and the stubs below are never reached.
+const useAVX2 = false
 
-// microAxpy runs the axpy-order 4×16 kernel; see axpy4x16Go.
 func microAxpy(k int, ap, b []float32, ldb int, c []float32, ldc int) {
-	axpy4x16Go(k, ap, b, ldb, c, ldc)
+	panic("tensor: packed GEMM without the AVX2 kernels")
 }
 
-// microDot runs the dot-order 4×16 kernel; see dot4x16Go.
-func microDot(k int, ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
-	dot4x16Go(k, ap, bp, acc)
+func microDot(k int, a []float32, rs, ps int, bp []float32, acc *[gemmMR * gemmNR]float32) {
+	panic("tensor: packed GEMM without the AVX2 kernels")
 }

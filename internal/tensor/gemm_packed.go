@@ -11,42 +11,46 @@ import (
 // column stride. This path instead runs a register-blocked microkernel on
 // 4×16 tiles of C (Goto & van de Geijn, "Anatomy of High-Performance Matrix
 // Multiplication", TOMS 2008): the 64 partial sums stay in eight 8-wide
-// registers across the whole k loop, and each step reuses one 16-wide row
-// of op(B) across four rows of op(A).
+// registers across a whole depth chunk, and each step reuses one 16-wide
+// row of op(B) across four rows of op(A).
 //
-// Operands. op(A) is packed into 4-tall panels, k-major (dst[p*4+r]), so
-// the kernel reads one contiguous 4-value group per step. In the !transB
-// case op(B) is read in place through its row stride — its 16-wide rows are
-// already contiguous. In the transB case op(B)'s columns are rows of the
-// stored B, so they are packed into 16-wide k-major strips first.
+// Kernels. The two 4×16 kernels are AVX2 assembly (gemm_amd64.s, amd64
+// without the purego tag). Without them every product streams: a pure-Go
+// kernel of the same tile shape measured no faster than the streaming
+// kernels (see routePacked), so there is no portable packed path.
 //
-// Kernels. On amd64 with AVX2 (and without the purego tag) the two 4×16
-// kernels are Go assembly (gemm_amd64.s); elsewhere a pure-Go kernel of the
-// same tile shape runs. One driver below serves both.
+// Operands, in depth chunks of at most gemmKC, packed on the running
+// goroutine's stack so nothing is retained between calls:
 //
-// Bitwise contract (the repo-wide determinism invariant): k is never split,
-// each C element is produced by exactly one task, and the kernels replay
-// the serial reference's per-element operation sequence exactly —
+//   - !transB (axpy order): a 4-tall chunk of op(A) is packed k-major
+//     (dst[p*4+r]) with alpha folded in; op(B)'s 16-wide rows are already
+//     contiguous and are read in place through their row stride.
+//   - transB (dot order): op(B)'s columns are rows of the stored B, so a
+//     16-wide chunk is packed k-major (dst[p*16+j]); op(A) is read in place
+//     through its row and depth strides.
 //
-//   - !transB (axpy order): the tile gets the beta prologue (scaleRange),
-//     then for ascending p the update c[i][j] += s·b[p][j] with
-//     s = alpha·a[i][p], skipped when s == ±0. The alpha multiply is folded
-//     into the A pack — the identical float32 product the serial kernel
-//     forms per (i, p) — and the skip tests the packed value. The assembly
-//     multiplies with VMULPS and adds with VADDPS, two roundings per step
-//     exactly like Go's scalar s*b then +=, which Go never fuses into an
-//     FMA; a VFMADD would round once and change bits.
-//   - transB (dot order): the accumulator starts at +0, sums a[i][p]·b[j][p]
-//     for ascending p, and lands as c[i][j] = beta-scaled C plus alpha·sum
-//     (storeDot). A is packed unscaled here (the serial kernel multiplies by
-//     alpha only after the sum).
+// Bitwise contract (the repo-wide determinism invariant): k is never split
+// across tasks, each C element is produced by exactly one task, and the
+// kernels replay the serial reference's per-element operation sequence
+// exactly —
+//
+//   - !transB: the tile gets the beta prologue (scaleRange), then for
+//     ascending p the update c[i][j] += s·b[p][j] with s = alpha·a[i][p],
+//     skipped when s == ±0. The alpha multiply is folded into the A pack —
+//     the identical float32 product the serial kernel forms per (i, p) — and
+//     the skip tests the packed value. The assembly multiplies with VMULPS
+//     and adds with VADDPS, two roundings per step exactly like Go's scalar
+//     s*b then +=, which Go never fuses into an FMA on amd64; a VFMADD would
+//     round once and change bits. Between depth chunks C goes back to
+//     memory, where the serial kernel keeps it all along.
+//   - transB: the sum starts at +0, adds a[i][p]·b[j][p] for ascending p,
+//     and lands as c[i][j] = beta-scaled C plus alpha·sum (storeDot).
+//     Between depth chunks the running sums wait in a stack array; a
+//     float32 store and reload is exact.
 //
 // Lanes of a vector register hold different columns j, never different p,
 // so vectorising changes which elements advance together, not the order of
 // any element's own sum.
-//
-// Panels are packed where they are used (see gemmPacked) into pooled
-// scratch, so the steady state packs into warm memory and allocates nothing.
 
 const (
 	// gemmMR × gemmNR is the microkernel tile: four rows of two 8-wide
@@ -54,21 +58,19 @@ const (
 	// broadcast A value and the products in the sixteen YMM registers.
 	gemmMR = 4
 	gemmNR = 16
+	// gemmKC is the depth of one packed chunk; a 16-wide B chunk is 16 KiB
+	// of stack. The conv weight gradients here are at most 256 deep, so each
+	// B strip packs once; the deepest conv forward (576) runs three chunks.
+	gemmKC = 256
+	// gemmMB is how many 4-row panels of dot-order sums one B chunk serves
+	// before it is repacked for the next block of panels.
+	gemmMB = 8
 )
 
 // minPackedFlops routes small products to the streaming kernels. With the
 // AVX2 kernels the tile shape alone decides (see minPackedK), so it
-// defaults to 0; the pure-Go kernel only pays for packing above 2²¹. A
-// variable, not a constant, so the equivalence tests can force the packed
-// path on small shapes.
-var minPackedFlops = defaultPackedMinFlops()
-
-func defaultPackedMinFlops() int {
-	if useAVX2 {
-		return 0
-	}
-	return 1 << 21
-}
+// defaults to 0. A variable so SetPackedMinFlops and the tests can move it.
+var minPackedFlops = 0
 
 // minPackedK is the measured depth gate for the AVX2 kernels. The streaming
 // kernel never touches a C row whose A values are all zero (ReLU-dead rows
@@ -83,7 +85,8 @@ var minPackedK = 16
 // exists so benchmarks can measure the streaming and packed paths on the
 // same shape (set it above m·n·k to force streaming, to 0 to force packed
 // wherever a whole tile fits); both paths produce bitwise-identical
-// results, so the override never changes outputs. Not synchronized — call
+// results, so the override never changes outputs. Without the AVX2 kernels
+// every product streams whatever the threshold. Not synchronized — call
 // only around otherwise-quiescent Gemm use, as the kernel benchmarks do.
 func SetPackedMinFlops(v int) int {
 	prev := minPackedFlops
@@ -91,26 +94,27 @@ func SetPackedMinFlops(v int) int {
 	return prev
 }
 
-// routePacked reports whether an m×n×k product runs packed: at least one
-// whole tile, above the flop threshold, and on AVX2 hosts deep enough.
+// PackedKernels reports whether this build and CPU have the AVX2 packed
+// GEMM kernels; without them every Gemm runs the streaming kernels.
+func PackedKernels() bool { return useAVX2 }
+
+// routePacked reports whether an m×n×k product runs packed: the AVX2
+// kernels are present, at least one whole tile fits, and the product is
+// above the flop threshold and deep enough.
+//
+// Only the AVX2 kernels pay for packing. A pure-Go 4×16 kernel cannot keep
+// its 64 sums in registers, and on a 2-vCPU AMD EPYC host (-tags purego,
+// one worker) it ran 8.05 GFLOP/s against streaming's 7.74 at 256³ and
+// 8.85 against 9.17 at 16×784×288, with the weight-gradient order slower
+// still (4.5 against 5.3) — no win to route for.
 func routePacked(m, n, k int) bool {
-	if m < gemmMR || n < gemmNR || m*n*k < minPackedFlops {
-		return false
-	}
-	return !useAVX2 || k >= minPackedK
+	return useAVX2 && m >= gemmMR && n >= gemmNR && k >= minPackedK && m*n*k >= minPackedFlops
 }
 
-// maxPackFloats bounds pooled panel memory (A panels + per-task scratch, in
-// floats); products beyond it stream unpacked rather than grow the pool.
-const maxPackFloats = 1 << 24
-
-// packedGemm is one packed call: its pooled panels plus the operands its
-// tile tasks read. It is pooled whole with its task bound once, so the
-// steady state dispatches onto the kernels pool without allocating.
+// packedGemm is one packed call: the operands its tile tasks read and the
+// tiling. It is pooled with its task bound once, so the steady state
+// dispatches onto the kernels pool without allocating.
 type packedGemm struct {
-	pa      []float32 // transB: every A panel, packed before dispatch
-	scratch []float32 // per task: one A panel (!transB) or one B strip (transB)
-
 	transA, transB bool
 	m, n, k        int
 	alpha, beta    float32
@@ -126,22 +130,15 @@ type packedGemm struct {
 // concurrency-safe for nested or concurrent Gemms.
 var packPool = make(chan *packedGemm, 8)
 
-func getPackedGemm(an, sn int) *packedGemm {
-	var g *packedGemm
+func getPackedGemm() *packedGemm {
 	select {
-	case g = <-packPool:
+	case g := <-packPool:
+		return g
 	default:
-		g = &packedGemm{}
+		g := &packedGemm{}
 		g.task = g.tile
+		return g
 	}
-	if cap(g.pa) < an {
-		g.pa = make([]float32, an)
-	}
-	if cap(g.scratch) < sn {
-		g.scratch = make([]float32, sn)
-	}
-	g.pa, g.scratch = g.pa[:an], g.scratch[:sn]
-	return g
 }
 
 func putPackedGemm(g *packedGemm) {
@@ -159,16 +156,6 @@ func putPackedGemm(g *packedGemm) {
 // most 3 rows / 15 columns) run through the streaming gemmTile over the
 // unpacked operands — disjoint C regions, so the combination is still
 // exactly the serial reference per element.
-//
-// Panels are packed where they are used, one at a time, so pooled memory
-// stays at a panel or strip per task instead of a copy of each operand:
-//
-//   - !transB: each task packs one A panel (4·k floats) and runs it across
-//     its strips of B, read in place.
-//   - transB: A — the short operand of the conv weight gradient — is packed
-//     whole up front; each task packs one B strip (16·k floats) and runs
-//     every A panel against it. Tasks split columns, so each strip is
-//     packed once.
 func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) bool {
 	if !routePacked(m, n, k) {
 		return false
@@ -180,7 +167,8 @@ func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 	// Tile the packed region over the pool in units of whole micro-tiles:
 	// the !transB order prefers row splits and goes 2-D for the
 	// short-and-wide conv shapes — the streaming path's heuristic in tile
-	// units — while the transB order splits columns only.
+	// units — while the transB order splits columns only, so each task
+	// packs each of its B chunks once per block of panels.
 	tiles := kernels.Workers()
 	if lim := m*n*k/minFlopsPerTile + 1; tiles > lim {
 		tiles = lim
@@ -204,24 +192,12 @@ func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 	}
 	tasks := rowBlocks * colBlocks
 
-	aFloats, perTask := 0, gemmMR*k
-	if transB {
-		aFloats, perTask = mfull*k, gemmNR*k
-	}
-	if aFloats+tasks*perTask > maxPackFloats {
-		return false
-	}
-	g := getPackedGemm(aFloats, tasks*perTask)
+	g := getPackedGemm()
 	g.transA, g.transB, g.m, g.n, g.k = transA, transB, m, n, k
 	g.alpha, g.beta, g.a, g.b, g.c = alpha, beta, a, b, c
 	g.rowPanels, g.colStrips, g.colBlocks = rowPanels, colStrips, colBlocks
 	g.panelsPer = (rowPanels + rowBlocks - 1) / rowBlocks
 	g.stripsPer = (colStrips + colBlocks - 1) / colBlocks
-	if transB {
-		for t := 0; t < rowPanels; t++ {
-			packA(transA, false, t, m, k, alpha, a, g.pa[t*gemmMR*k:(t+1)*gemmMR*k])
-		}
-	}
 	if tasks == 1 {
 		g.tile(0)
 	} else {
@@ -238,149 +214,125 @@ func gemmPacked(transA, transB bool, m, n, k int, alpha float32, a, b []float32,
 	return true
 }
 
-// tile computes task t's block of whole micro-tiles.
+// tile computes task t's block of whole micro-tiles: row panels
+// [plo, phi) × column strips [slo, shi).
 func (g *packedGemm) tile(t int) {
 	plo := (t / g.colBlocks) * g.panelsPer
-	phi := plo + g.panelsPer
-	if phi > g.rowPanels {
-		phi = g.rowPanels
-	}
+	phi := min(plo+g.panelsPer, g.rowPanels)
 	slo := (t % g.colBlocks) * g.stripsPer
-	shi := slo + g.stripsPer
-	if shi > g.colStrips {
-		shi = g.colStrips
-	}
+	shi := min(slo+g.stripsPer, g.colStrips)
 	if plo >= phi || slo >= shi {
 		return
 	}
-	n, k, c := g.n, g.k, g.c
-	if !g.transB {
-		ap := g.scratch[t*gemmMR*k : (t+1)*gemmMR*k]
-		for pi := plo; pi < phi; pi++ {
-			for i := pi * gemmMR; i < (pi+1)*gemmMR; i++ {
-				scaleRange(c[i*n+slo*gemmNR:i*n+shi*gemmNR], g.beta)
-			}
-			packA(g.transA, true, pi, g.m, k, g.alpha, g.a, ap)
-			for si := slo; si < shi; si++ {
-				microAxpy(k, ap, g.b[si*gemmNR:], n, c[pi*gemmMR*n+si*gemmNR:], n)
-			}
-		}
-		return
+	if g.transB {
+		g.dotTiles(plo, phi, slo, shi)
+	} else {
+		g.axpyTiles(plo, phi, slo, shi)
 	}
-	bp := g.scratch[t*gemmNR*k : (t+1)*gemmNR*k]
-	var acc [gemmMR * gemmNR]float32
-	for si := slo; si < shi; si++ {
-		packB(si, k, g.b, bp)
-		for pi := plo; pi < phi; pi++ {
-			microDot(k, g.pa[pi*gemmMR*k:(pi+1)*gemmMR*k], bp, &acc)
-			ct := c[pi*gemmMR*n+si*gemmNR:]
-			for r := 0; r < gemmMR; r++ {
-				storeDot(ct[r*n:r*n+gemmNR], acc[r*gemmNR:(r+1)*gemmNR], g.alpha, g.beta)
+}
+
+// axpyTiles runs the axpy-order kernel: per row panel, the beta prologue,
+// then for each depth chunk one A pack reused across the task's strips of
+// B, read in place.
+func (g *packedGemm) axpyTiles(plo, phi, slo, shi int) {
+	var ap [gemmMR * gemmKC]float32
+	n, k, c := g.n, g.k, g.c
+	for pi := plo; pi < phi; pi++ {
+		for i := pi * gemmMR; i < (pi+1)*gemmMR; i++ {
+			scaleRange(c[i*n+slo*gemmNR:i*n+shi*gemmNR], g.beta)
+		}
+		for p0 := 0; p0 < k; p0 += gemmKC {
+			kc := min(gemmKC, k-p0)
+			packA(g.transA, pi, p0, kc, g.m, k, g.alpha, g.a, ap[:gemmMR*kc])
+			for si := slo; si < shi; si++ {
+				microAxpy(kc, ap[:], g.b[p0*n+si*gemmNR:], n, c[pi*gemmMR*n+si*gemmNR:], n)
 			}
 		}
 	}
 }
 
-// packA copies row panel `panel` (gemmMR rows of op(A)) into dst, k-major:
-// dst[p*mr+r] = op(A)[i0+r, p], times alpha when foldAlpha (the axpy
-// kernel's s = alpha·a[i][p], formed here once instead of once per column).
-func packA(transA, foldAlpha bool, panel, m, k int, alpha float32, a, dst []float32) {
+// dotTiles runs the dot-order kernel: per column strip and block of up to
+// gemmMB row panels, each depth chunk of the strip is packed once and run
+// against every panel of the block, whose sums carry over between chunks.
+func (g *packedGemm) dotTiles(plo, phi, slo, shi int) {
+	var bp [gemmNR * gemmKC]float32
+	var acc [gemmMB][gemmMR * gemmNR]float32
+	n, k, c := g.n, g.k, g.c
+	// op(A)[i, p] sits at a[i*rs + p*ps].
+	rs, ps := k, 1
+	if g.transA {
+		rs, ps = 1, g.m
+	}
+	for si := slo; si < shi; si++ {
+		packed := false // bp holds the strip's only chunk (k ≤ gemmKC)
+		for pb := plo; pb < phi; pb += gemmMB {
+			pe := min(pb+gemmMB, phi)
+			clear(acc[:pe-pb])
+			for p0 := 0; p0 < k; p0 += gemmKC {
+				kc := min(gemmKC, k-p0)
+				if !packed {
+					packB(si, p0, kc, k, g.b, bp[:gemmNR*kc])
+					packed = kc == k
+				}
+				for pi := pb; pi < pe; pi++ {
+					microDot(kc, g.a[pi*gemmMR*rs+p0*ps:], rs, ps, bp[:], &acc[pi-pb])
+				}
+			}
+			for pi := pb; pi < pe; pi++ {
+				ct := c[pi*gemmMR*n+si*gemmNR:]
+				for r := 0; r < gemmMR; r++ {
+					storeDot(ct[r*n:r*n+gemmNR], acc[pi-pb][r*gemmNR:(r+1)*gemmNR], g.alpha, g.beta)
+				}
+			}
+		}
+	}
+}
+
+// packA copies depth chunk [p0, p0+kc) of row panel `panel` (gemmMR rows of
+// op(A)) into dst, k-major, times alpha: dst[q*mr+r] = alpha·op(A)[i0+r,
+// p0+q] — the axpy kernel's s = alpha·a[i][p], formed here once instead of
+// once per column.
+func packA(transA bool, panel, p0, kc, m, k int, alpha float32, a, dst []float32) {
 	i0 := panel * gemmMR
 	if !transA {
-		r0 := a[(i0+0)*k : (i0+0)*k+k : (i0+0)*k+k]
-		r1 := a[(i0+1)*k : (i0+1)*k+k : (i0+1)*k+k]
-		r2 := a[(i0+2)*k : (i0+2)*k+k : (i0+2)*k+k]
-		r3 := a[(i0+3)*k : (i0+3)*k+k : (i0+3)*k+k]
-		if foldAlpha {
-			for p := 0; p < k; p++ {
-				d := dst[4*p : 4*p+4 : 4*p+4]
-				d[0] = alpha * r0[p]
-				d[1] = alpha * r1[p]
-				d[2] = alpha * r2[p]
-				d[3] = alpha * r3[p]
-			}
-		} else {
-			for p := 0; p < k; p++ {
-				d := dst[4*p : 4*p+4 : 4*p+4]
-				d[0] = r0[p]
-				d[1] = r1[p]
-				d[2] = r2[p]
-				d[3] = r3[p]
-			}
+		r0 := a[(i0+0)*k+p0 : (i0+0)*k+p0+kc : (i0+0)*k+p0+kc]
+		r1 := a[(i0+1)*k+p0 : (i0+1)*k+p0+kc : (i0+1)*k+p0+kc]
+		r2 := a[(i0+2)*k+p0 : (i0+2)*k+p0+kc : (i0+2)*k+p0+kc]
+		r3 := a[(i0+3)*k+p0 : (i0+3)*k+p0+kc : (i0+3)*k+p0+kc]
+		for q := 0; q < kc; q++ {
+			d := dst[4*q : 4*q+4 : 4*q+4]
+			d[0] = alpha * r0[q]
+			d[1] = alpha * r1[q]
+			d[2] = alpha * r2[q]
+			d[3] = alpha * r3[q]
 		}
 		return
 	}
 	// A stored k×m: op(A)[i, p] = a[p*m+i] — the pack turns the strided
 	// column walk into one pass of contiguous 4-wide reads.
-	if foldAlpha {
-		for p := 0; p < k; p++ {
-			s := a[p*m+i0 : p*m+i0+4 : p*m+i0+4]
-			d := dst[4*p : 4*p+4 : 4*p+4]
-			d[0] = alpha * s[0]
-			d[1] = alpha * s[1]
-			d[2] = alpha * s[2]
-			d[3] = alpha * s[3]
-		}
-	} else {
-		for p := 0; p < k; p++ {
-			s := a[p*m+i0 : p*m+i0+4 : p*m+i0+4]
-			d := dst[4*p : 4*p+4 : 4*p+4]
-			d[0] = s[0]
-			d[1] = s[1]
-			d[2] = s[2]
-			d[3] = s[3]
-		}
+	for q := 0; q < kc; q++ {
+		p := p0 + q
+		s := a[p*m+i0 : p*m+i0+4 : p*m+i0+4]
+		d := dst[4*q : 4*q+4 : 4*q+4]
+		d[0] = alpha * s[0]
+		d[1] = alpha * s[1]
+		d[2] = alpha * s[2]
+		d[3] = alpha * s[3]
 	}
 }
 
-// packB copies column strip `strip` of op(B) = Bᵀ (B stored n×k) into dst,
-// k-major: dst[p*nr+j] = b[(j0+j)*k+p] — sixteen B rows interleaved so the
-// dot kernel reads one contiguous 16-wide group per step.
-func packB(strip, k int, b, dst []float32) {
-	s := b[strip*gemmNR*k : (strip+1)*gemmNR*k]
-	for p := 0; p < k; p++ {
-		d := dst[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-		d[0], d[1], d[2], d[3] = s[p], s[k+p], s[2*k+p], s[3*k+p]
-		d[4], d[5], d[6], d[7] = s[4*k+p], s[5*k+p], s[6*k+p], s[7*k+p]
-		d[8], d[9], d[10], d[11] = s[8*k+p], s[9*k+p], s[10*k+p], s[11*k+p]
-		d[12], d[13], d[14], d[15] = s[12*k+p], s[13*k+p], s[14*k+p], s[15*k+p]
-	}
-}
-
-// axpy4x16Go is the pure-Go axpy-order kernel: for ascending p, each row r
-// of the 4×16 C tile adds s·B[p, 0:16] with the packed s = ap[4p+r],
-// skipped when s == 0. ap is the k-major A panel, b points at op(B)[0, j0]
-// with row stride ldb, c at the tile's top-left with row stride ldc. The
-// tile has already had its beta prologue.
-func axpy4x16Go(k int, ap, b []float32, ldb int, c []float32, ldc int) {
-	for p := 0; p < k; p++ {
-		bq := b[p*ldb : p*ldb+gemmNR : p*ldb+gemmNR]
-		for r, s := range ap[gemmMR*p : gemmMR*p+gemmMR] {
-			if s == 0 {
-				continue
-			}
-			cr := c[r*ldc : r*ldc+gemmNR : r*ldc+gemmNR]
-			for j, bv := range bq {
-				cr[j] += s * bv
-			}
-		}
-	}
-}
-
-// dot4x16Go is the pure-Go dot-order kernel: acc[16r+j] starts at +0 and
-// sums ap[4p+r]·bp[16p+j] for ascending p (k never split — the running sum
-// must not round-trip memory mid-reduction between tasks). ap and bp are
-// the k-major packed A panel and B strip.
-func dot4x16Go(k int, ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
-	*acc = [gemmMR * gemmNR]float32{}
-	for p := 0; p < k; p++ {
-		bq := bp[gemmNR*p : gemmNR*p+gemmNR : gemmNR*p+gemmNR]
-		for r, av := range ap[gemmMR*p : gemmMR*p+gemmMR] {
-			row := acc[gemmNR*r : gemmNR*r+gemmNR : gemmNR*r+gemmNR]
-			for j, bv := range bq {
-				row[j] += av * bv
-			}
-		}
+// packB copies depth chunk [p0, p0+kc) of column strip `strip` of
+// op(B) = Bᵀ (B stored n×k) into dst, k-major: dst[q*nr+j] =
+// b[(j0+j)*k+p0+q] — sixteen B rows interleaved so the dot kernel reads one
+// contiguous 16-wide group per step.
+func packB(strip, p0, kc, k int, b, dst []float32) {
+	s := b[strip*gemmNR*k+p0 : (strip+1)*gemmNR*k]
+	for q := 0; q < kc; q++ {
+		d := dst[q*gemmNR : q*gemmNR+gemmNR : q*gemmNR+gemmNR]
+		d[0], d[1], d[2], d[3] = s[q], s[k+q], s[2*k+q], s[3*k+q]
+		d[4], d[5], d[6], d[7] = s[4*k+q], s[5*k+q], s[6*k+q], s[7*k+q]
+		d[8], d[9], d[10], d[11] = s[8*k+q], s[9*k+q], s[10*k+q], s[11*k+q]
+		d[12], d[13], d[14], d[15] = s[12*k+q], s[13*k+q], s[14*k+q], s[15*k+q]
 	}
 }
 

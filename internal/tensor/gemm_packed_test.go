@@ -136,22 +136,6 @@ func forcePacked() (restore func()) {
 	return func() { minPackedFlops, minPackedK = prevFlops, prevK }
 }
 
-// eachKernel runs fn once per microkernel this host can execute: the AVX2
-// assembly when the CPU probe found it (and the build has it), and always
-// the pure-Go kernel of the same tile shape.
-func eachKernel(t *testing.T, fn func(t *testing.T)) {
-	hostAVX2 := useAVX2
-	defer func() { useAVX2 = hostAVX2 }()
-	if hostAVX2 {
-		useAVX2 = true
-		t.Run("avx2", fn)
-	} else {
-		t.Log("no AVX2 kernels on this build/host: testing the pure-Go kernel only")
-	}
-	useAVX2 = false
-	t.Run("go", fn)
-}
-
 // checkGemmBitwise runs Gemm on ±0-laden operands at every worker width
 // and fails unless C matches the serial reference bit for bit.
 func checkGemmBitwise(t *testing.T, rng *rand.Rand, transA, transB bool, m, n, k int, alpha, beta float32, widths []int) {
@@ -209,101 +193,121 @@ func convGemmShapes() []struct{ m, n, k int } {
 	return shapes
 }
 
-// TestGemmPackedConvShapesBitwise pins both microkernels against the serial
+// packedKernelNote logs, on a build or host without the AVX2 kernels, that
+// a packed-path test checks only the streaming kernels there.
+func packedKernelNote(t *testing.T) {
+	if !useAVX2 {
+		t.Log("no AVX2 kernels on this build/host: every product streams")
+	}
+}
+
+// TestGemmPackedConvShapesBitwise pins the microkernels against the serial
 // reference on every conv-lowered shape of TinyResNet and SmallCNN, in all
 // four transpose cases and with beta 0, 1 and neither — bitwise, at worker
 // widths 1 and GOMAXPROCS+3, with the packed routing forced so every shape
 // with a whole tile runs the kernels.
 func TestGemmPackedConvShapesBitwise(t *testing.T) {
+	packedKernelNote(t)
 	defer forcePacked()()
 	widths := []int{1, runtime.GOMAXPROCS(0) + 3}
-	eachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(17))
-		for _, sh := range convGemmShapes() {
-			for _, transA := range []bool{false, true} {
-				for _, transB := range []bool{false, true} {
-					for _, beta := range []float32{0, 1, -0.75} {
-						checkGemmBitwise(t, rng, transA, transB, sh.m, sh.n, sh.k, 1, beta, widths)
-					}
+	rng := rand.New(rand.NewSource(17))
+	for _, sh := range convGemmShapes() {
+		for _, transA := range []bool{false, true} {
+			for _, transB := range []bool{false, true} {
+				for _, beta := range []float32{0, 1, -0.75} {
+					checkGemmBitwise(t, rng, transA, transB, sh.m, sh.n, sh.k, 1, beta, widths)
 				}
 			}
 		}
-	})
+	}
 }
 
 // TestGemmPackedTileEdgesBitwise walks the edges of the 4×16 tile and the
 // k ≥ 16 depth gate — n one short of, at, and one past one and two strips;
-// k around 16 — under both the production routing and forced packing, for
-// both microkernels.
+// k around 16 — under both the production routing and forced packing, with
+// TestGemmPackedBitwiseSweep's alpha/beta edge cases. The forced run adds
+// that sweep's shapes which hold a whole tile, and the depth-chunk and
+// panel-block edges: k around gemmKC and past two chunks, m past one block
+// of gemmMB panels.
 func TestGemmPackedTileEdgesBitwise(t *testing.T) {
+	packedKernelNote(t)
 	widths := []int{1, 2}
+	cases := []struct{ alpha, beta float32 }{
+		{1, 0}, {1, 1}, {-0.5, 0.25}, {0.75, -1}, {0, 0.5}, {-0.5, 1}, {0.75, 0.25},
+	}
+	var shapes []struct{ m, n, k int }
+	for _, m := range []int{3, 4, 9} {
+		for _, n := range []int{15, 16, 17, 31, 33} {
+			for _, k := range []int{15, 16, 17} {
+				shapes = append(shapes, struct{ m, n, k int }{m, n, k})
+			}
+		}
+	}
+	deep := []struct{ m, n, k int }{
+		{13, 29, 7}, {31, 17, 25}, {9, 65, 3}, // the sweep's whole-tile shapes
+		{gemmMR, gemmNR, gemmKC - 1},
+		{gemmMR, gemmNR, gemmKC},
+		{gemmMR, gemmNR, gemmKC + 1},
+		{gemmMR*gemmMB + 5, 33, gemmKC},
+		{gemmMR*gemmMB + 5, 33, 2*gemmKC + 3},
+	}
 	for _, route := range []string{"default", "forced"} {
 		t.Run(route, func(t *testing.T) {
+			run := shapes
 			if route == "forced" {
 				defer forcePacked()()
+				run = append(append([]struct{ m, n, k int }(nil), shapes...), deep...)
 			}
-			eachKernel(t, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(19))
-				for _, m := range []int{3, 4, 9} {
-					for _, n := range []int{15, 16, 17, 31, 33} {
-						for _, k := range []int{15, 16, 17} {
-							for _, transA := range []bool{false, true} {
-								for _, transB := range []bool{false, true} {
-									for _, ab := range []struct{ alpha, beta float32 }{{1, 0}, {-0.5, 1}, {0.75, 0.25}} {
-										checkGemmBitwise(t, rng, transA, transB, m, n, k, ab.alpha, ab.beta, widths)
-									}
-								}
-							}
+			rng := rand.New(rand.NewSource(19))
+			for _, sh := range run {
+				for _, transA := range []bool{false, true} {
+					for _, transB := range []bool{false, true} {
+						for _, ab := range cases {
+							checkGemmBitwise(t, rng, transA, transB, sh.m, sh.n, sh.k, ab.alpha, ab.beta, widths)
 						}
 					}
 				}
-			})
+			}
 		})
 	}
 }
 
-// TestGemmPackedRouting pins which products take the packed path: on AVX2
-// any whole 4×16 tile at depth k ≥ 16 (so every TinyResNet conv GEMM, but
-// not the MLP's batch-2 products), elsewhere only products of ≥ 2²¹ flops.
+// TestGemmPackedRouting pins which products take the packed path: with the
+// AVX2 kernels any whole 4×16 tile at depth k ≥ 16 (so every TinyResNet
+// conv GEMM, but not the MLP's batch-2 products), without them none.
 func TestGemmPackedRouting(t *testing.T) {
 	cases := []struct {
-		m, n, k    int
-		avx2, base bool // routed with the AVX2 kernels / the pure-Go kernel
+		m, n, k int
+		packed  bool // with the AVX2 kernels
 	}{
-		{16, 256, 144, true, false}, // tinyresnet s1 conv forward
-		{16, 144, 256, true, false}, // its weight gradient
-		{144, 256, 16, true, false}, // its column gradient
-		{4, 16, 16, true, false},    // one tile, minimum depth
-		{3, 256, 144, false, false}, // no whole tile row
-		{16, 15, 144, false, false}, // no whole tile column
-		{16, 256, 15, false, false}, // under the depth gate
-		{384, 768, 2, false, false}, // mlp Linear dW at batch 2
-		{2, 768, 384, false, false}, // mlp Linear forward at batch 2
-		{96, 160, 144, true, true},  // above 2²¹ flops
+		{16, 256, 144, true}, // tinyresnet s1 conv forward
+		{16, 144, 256, true}, // its weight gradient
+		{144, 256, 16, true}, // its column gradient
+		{4, 16, 16, true},    // one tile, minimum depth
+		{96, 160, 144, true}, // above 2²¹ flops
+		{3, 256, 144, false}, // no whole tile row
+		{16, 15, 144, false}, // no whole tile column
+		{16, 256, 15, false}, // under the depth gate
+		{384, 768, 2, false}, // mlp Linear dW at batch 2
+		{2, 768, 384, false}, // mlp Linear forward at batch 2
 	}
-	hostAVX2, prevFlops := useAVX2, minPackedFlops
-	defer func() { useAVX2, minPackedFlops = hostAVX2, prevFlops }()
-	for _, avx2 := range []bool{true, false} {
-		useAVX2 = avx2
-		minPackedFlops = defaultPackedMinFlops()
-		for _, c := range cases {
-			want := c.base
-			if avx2 {
-				want = c.avx2
-			}
-			if got := routePacked(c.m, c.n, c.k); got != want {
-				t.Errorf("avx2=%v: routePacked(%d, %d, %d) = %v, want %v", avx2, c.m, c.n, c.k, got, want)
-			}
+	for _, c := range cases {
+		want := c.packed && useAVX2
+		if got := routePacked(c.m, c.n, c.k); got != want {
+			t.Errorf("avx2=%v: routePacked(%d, %d, %d) = %v, want %v", useAVX2, c.m, c.n, c.k, got, want)
 		}
 	}
 }
 
 // TestGemmPackedZeroAllocs: once warm, a packed conv GEMM allocates nothing
-// — pooled panels and a pooled call record with its tile task bound once —
-// for each of the three conv roles. It runs at one worker: wider, the
-// kernels pool recycles its own job descriptors only after the helpers
-// drain, which AllocsPerRun's GOMAXPROCS 1 starves.
+// — chunks packed on the stack and a pooled call record with its tile task
+// bound once — for each of the three conv roles. It runs at one worker:
+// wider, the kernels pool recycles its own job descriptors only after the
+// helpers drain, which AllocsPerRun's GOMAXPROCS 1 starves.
 func TestGemmPackedZeroAllocs(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 kernels on this build/host: no packed path")
+	}
 	defer forcePacked()()
 	defer kernels.SetWorkers(kernels.SetWorkers(1))
 	const m, n, k = 16, 256, 144 // tinyresnet s1 conv forward
@@ -324,7 +328,7 @@ func TestGemmPackedZeroAllocs(t *testing.T) {
 		b := packedSlice(rng, r.k*r.n)
 		c := make([]float32, r.m*r.n)
 		gemm := func() { Gemm(r.transA, r.transB, r.m, r.n, r.k, 1, a, b, 1, c) }
-		gemm() // warm the panel pool
+		gemm() // warm the call-record pool
 		if allocs := testing.AllocsPerRun(20, gemm); allocs != 0 {
 			t.Errorf("tA%v tB%v %dx%dx%d: %v allocs per Gemm, want 0", r.transA, r.transB, r.m, r.n, r.k, allocs)
 		}
