@@ -34,6 +34,7 @@ type allocsReport struct {
 	Steps          int       `json:"steps"`
 	BucketFloats   int       `json:"bucket_floats"`
 	GradFloats     int       `json:"grad_floats"`
+	GOMAXPROCS     int       `json:"gomaxprocs"`
 	Phased         allocsRun `json:"phased"`
 	Overlapped     allocsRun `json:"overlapped"`
 }
@@ -46,10 +47,16 @@ type allocsReport struct {
 // committed baseline — the CI gate. The JSON report always lands somewhere
 // inspectable: at jsonPath when given, in the OS temp directory otherwise
 // (so routine gate runs never leave stray report files in the tree).
+//
+// The run pins GOMAXPROCS to allocsProcs: kernel pool dispatch allocates
+// per parallel job, so the count depends on the host's CPU count unless the
+// width is fixed.
 func allocsWorkload(codec string, topkRatio float64, learners, devices, steps int, jsonPath, baselinePath string, maxRegress float64) error {
 	const classes, size, batchPerDevice = 8, 16, 8
 	const bucketFloats = 1024
 	const warmup = 5
+	const allocsProcs = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(allocsProcs))
 	if codec == "" {
 		codec = "none"
 	}
@@ -154,11 +161,12 @@ func allocsWorkload(codec string, topkRatio float64, learners, devices, steps in
 		Steps:          steps,
 		BucketFloats:   bucketFloats,
 		GradFloats:     gradFloats,
+		GOMAXPROCS:     allocsProcs,
 		Phased:         phased,
 		Overlapped:     overlapped,
 	}
-	fmt.Printf("allocs workload: codec=%s learners=%d devices=%d steps=%d (+%d warmup) grad=%d floats buckets=%d floats\n",
-		codec, learners, devices, steps, warmup, gradFloats, bucketFloats)
+	fmt.Printf("allocs workload: codec=%s learners=%d devices=%d steps=%d (+%d warmup) grad=%d floats buckets=%d floats GOMAXPROCS=%d\n",
+		codec, learners, devices, steps, warmup, gradFloats, bucketFloats, allocsProcs)
 	for _, row := range []struct {
 		name string
 		r    allocsRun

@@ -96,9 +96,9 @@ type bucketJob struct {
 // Stream — compress, exchange (Isend/Irecv to all peers), decompress+reduce,
 // with the stages on separate goroutines so communication of bucket i
 // overlaps compression of bucket i+1 — and the call returns when the last
-// bucket lands. The reactive training path uses the same Stream directly,
-// submitting buckets as backward compute finalizes them, which is why the
-// two paths produce bitwise-identical sums.
+// bucket lands. The training loop (internal/core) drives the same Stream
+// directly, submitting buckets after or during backward compute, which is
+// why the two produce bitwise-identical sums.
 //
 // The reduced value of every element is the sum of the DECODED payloads of
 // all ranks, accumulated in rank order — identical bitwise on every rank —

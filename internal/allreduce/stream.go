@@ -102,7 +102,7 @@ type streamSub struct {
 // in-flight window, ranks launching in different orders can deadlock: each
 // rank's window waits on buckets its peers have not launched because their
 // windows are full of buckets this rank has not launched. Callers with
-// timing-dependent readiness (the reactive gradient pipeline) must serialize
+// timing-dependent readiness (the training loop's Overlap policy) must serialize
 // ready buckets into an agreed order before submitting; any agreed order is
 // correct — matching is by bucket tag — and the reduction is bitwise
 // identical to the phased BucketedAllReduce, itself a thin wrapper over
@@ -116,9 +116,10 @@ type streamSub struct {
 // Buffer discipline (the zero-allocation path): payloads are compressed into
 // pooled scratch released after the sends complete; received payloads are
 // pooled transport buffers released after decode; Sum buffers are pooled and
-// released by the consumer via BucketResult.Release; request handles and the
-// per-bucket request tables recycle through a free list sized to the
-// in-flight window. Steady state allocates nothing per bucket.
+// released by the consumer via BucketResult.Release; request handles
+// recycle through the mpi freelist, and the per-bucket request tables of the
+// whole in-flight window are built once in NewStream. Steady state allocates
+// nothing per bucket, and a wider window costs no extra allocations.
 type Stream struct {
 	c       *mpi.Comm
 	codec   compress.Codec
@@ -127,7 +128,7 @@ type Stream struct {
 	subs    chan streamSub
 	results chan BucketResult
 	slots   chan struct{}
-	free    chan bucketJob // retired jobs whose request tables get reused
+	free    chan bucketJob // one job per in-flight slot, request tables prebuilt
 	done    chan struct{}
 	stats   CompressedStats
 	err     error
@@ -219,6 +220,15 @@ func NewStream(c *mpi.Comm, codec compress.Codec, opts StreamOptions) *Stream {
 		slots:   make(chan struct{}, opts.MaxInFlight),
 		free:    make(chan bucketJob, opts.MaxInFlight),
 		done:    make(chan struct{}),
+	}
+	// Every job's request tables come from two backing arrays sized for the
+	// whole window: a slot is taken before a job and freed only after the
+	// job retires, so the free list never runs dry.
+	n := c.Size()
+	recvs := make([]*mpi.Request, opts.MaxInFlight*n)
+	sends := make([]*mpi.Request, opts.MaxInFlight*n)
+	for i := 0; i < opts.MaxInFlight; i++ {
+		s.free <- bucketJob{recvReqs: recvs[i*n : (i+1)*n : (i+1)*n], sendReqs: sends[i*n : i*n : (i+1)*n]}
 	}
 	inflight := make(chan bucketJob, opts.MaxInFlight)
 	go s.launch(inflight)
@@ -354,26 +364,18 @@ func (s *Stream) launch(inflight chan<- bucketJob) {
 	close(inflight)
 }
 
-// encodeBatch compresses batch into jobs[:len(batch)], recycling retired
-// request tables. A single bucket encodes inline (the codec may still go
+// encodeBatch compresses batch into jobs[:len(batch)], taking one free job
+// per bucket. A single bucket encodes inline (the codec may still go
 // chunk-parallel internally); multiple buckets fan out one-per-task on the
 // pool, nesting-safe with the per-bucket parallelism. The pooled scratch
 // freelists are concurrency-safe channels, so pool workers may Get
 // concurrently.
 func (s *Stream) encodeBatch(batch []streamSub, jobs []bucketJob) {
-	n := s.c.Size()
 	rank := s.c.Rank()
 	sb := s.opts.ShardBounds
 	for i, sub := range batch {
-		var job bucketJob
-		select {
-		case job = <-s.free:
-		default:
-		}
+		job := <-s.free
 		job.idx, job.lo, job.hi = sub.idx, sub.lo, sub.hi
-		if job.recvReqs == nil {
-			job.recvReqs = make([]*mpi.Request, n)
-		}
 		job.sendReqs = job.sendReqs[:0]
 		job.owned = sb == nil || shardOwns(sb, rank, job.lo, job.hi)
 		jobs[i] = job
@@ -449,10 +451,7 @@ func (s *Stream) retire(job bucketJob) {
 	job.payload = nil
 	job.chainReq = nil
 	job.downReq = nil
-	select {
-	case s.free <- job:
-	default:
-	}
+	s.free <- job
 }
 
 // reduce is stage 3: decode every rank's payload in rank order, sum, and

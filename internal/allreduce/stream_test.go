@@ -2,10 +2,12 @@ package allreduce
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/kernels"
 	"repro/internal/mpi"
 )
 
@@ -236,5 +238,65 @@ func TestStreamInFlightBounded(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamWindowCostsNoAllocs: a warm Stream round must not allocate more
+// with a wide in-flight window than with a narrow one — the request tables
+// of every window slot are built once in NewStream, not per launched job.
+func TestStreamWindowCostsNoAllocs(t *testing.T) {
+	const nb, bf = 16, 64
+	prev := kernels.SetWorkers(1)
+	defer kernels.SetWorkers(prev)
+	w := mpi.NewWorld(2)
+	defer w.Close()
+	data := randomRankData(2, nb*bf, 5)
+	// round runs one Stream over every bucket of data; full, when non-nil,
+	// is called once the window holds `window` buckets.
+	round := func(c *mpi.Comm, window int, data []float32, full func()) error {
+		s := NewStream(c, compress.Identity{}, StreamOptions{MaxInFlight: window})
+		go func() {
+			for b := 0; b < nb; b++ {
+				s.Submit(b, b*bf, (b+1)*bf, data[b*bf:(b+1)*bf])
+			}
+			s.CloseSend()
+		}()
+		if full != nil {
+			for s.InFlight() < window {
+				runtime.Gosched()
+			}
+			full()
+		}
+		for r := range s.Results() {
+			r.Release()
+		}
+		_, err := s.Stats()
+		return err
+	}
+	// Rank 1 joins each round only once rank 0's window is full, so rank 0
+	// really holds the whole window of buckets at once.
+	start := make(chan int)
+	errs := make(chan error)
+	go func() {
+		c1 := w.MustComm(1)
+		for window := range start {
+			errs <- round(c1, window, data[1], nil)
+		}
+	}()
+	defer close(start)
+	c0 := w.MustComm(0)
+	allocs := func(window int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := round(c0, window, data[0], func() { start <- window }); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a4, a16 := allocs(4), allocs(16)
+	if a16 > a4 {
+		t.Fatalf("a round at MaxInFlight 16 allocates %v, at 4 only %v", a16, a4)
 	}
 }

@@ -102,7 +102,7 @@ func New(cfg Config) (Codec, error) {
 
 // Feedback maintains the error-feedback residual e_t across steps:
 //
-//	g'_t = g_t + e_t          (Correct)
+//	g'_t = g_t + e_t          (CorrectAt)
 //	sent = D(C(g'_t))         (what the wire actually carried)
 //	e_{t+1} = g'_t - sent     (Update)
 //
@@ -116,13 +116,8 @@ func NewFeedback(n int) *Feedback {
 	return &Feedback{residual: make([]float32, n)}
 }
 
-// Correct adds the accumulated residual into g in place.
-func (f *Feedback) Correct(g []float32) { f.CorrectAt(0, g) }
-
-// CorrectAt adds residual[off : off+len(g)) into g in place — the
-// per-bucket form the reactive pipeline applies as each bucket is packed.
-// Element-wise it is exactly Correct restricted to a sub-range, so bucketed
-// and full-vector correction are bitwise identical.
+// CorrectAt adds residual[off : off+len(g)) into g in place — the bucketed
+// step applies it as each bucket is packed.
 func (f *Feedback) CorrectAt(off int, g []float32) {
 	for i, r := range f.residual[off : off+len(g)] {
 		g[i] += r
@@ -131,13 +126,9 @@ func (f *Feedback) CorrectAt(off int, g []float32) {
 
 // Update records the new residual given the corrected gradient and the
 // values the codec actually transmitted.
-func (f *Feedback) Update(corrected, sent []float32) { f.UpdateAt(0, corrected, sent) }
-
-// UpdateAt records the residual for the sub-range starting at off.
-func (f *Feedback) UpdateAt(off int, corrected, sent []float32) {
-	res := f.residual[off : off+len(corrected)]
-	for i := range res {
-		res[i] = corrected[i] - sent[i]
+func (f *Feedback) Update(corrected, sent []float32) {
+	for i := range f.residual {
+		f.residual[i] = corrected[i] - sent[i]
 	}
 }
 

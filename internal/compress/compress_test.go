@@ -234,7 +234,7 @@ func TestFeedbackAccountingIdentity(t *testing.T) {
 		for i, v := range g {
 			cumGrad[i] += float64(v)
 		}
-		f.Correct(g)
+		f.CorrectAt(0, g)
 		corrected := append([]float32(nil), g...)
 		if err := codec.Decompress(sent, Encode(codec, g)); err != nil {
 			t.Fatal(err)

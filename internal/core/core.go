@@ -11,24 +11,35 @@
 // the configured MPI allreduce, broadcast back to the devices, and every
 // device applies the SGD update — leaving all replicas bitwise identical.
 //
-// The step has four execution paths, all producing bitwise-identical
-// parameters under the same compression config (docs/ARCHITECTURE.md maps
-// them side by side):
+// The step has two execution paths (docs/ARCHITECTURE.md maps them side by
+// side):
 //
-//   - phased (the default): the strictly sequential Algorithm 1 above.
-//   - overlap (Config.Overlap, reactive.go): a reactive per-bucket pipeline
-//     — gradient buckets are reduced, compressed and exchanged while
-//     backward is still computing earlier layers, and updates apply per
-//     bucket as results land. Same arithmetic, same bits, less exposed
+//   - uncompressed (no codec): the strictly sequential Algorithm 1 above,
+//     with the Config.Allreduce algorithm — the paper's multicolor trees by
+//     default.
+//   - bucketed (buckets.go): every learner with a codec — set explicitly, or
+//     implied by Overlap, ShardOptimizer or Topology — reduces fixed-size
+//     gradient buckets through one allreduce.Stream, then runs one tail
+//     (error-feedback update, scale, optimizer step) after the last bucket
+//     lands.
+//
+// The options only parameterize the bucketed path:
+//
+//   - Config.Overlap is a launch policy: buckets launch from the readiness
+//     hook while backward is still computing earlier layers, instead of
+//     all at once after it. Same arithmetic, same bits, less exposed
 //     communication time.
-//   - sharded (Config.ShardOptimizer, sharded.go): ZeRO-1 — the allreduce
-//     decomposes at the reduce-scatter boundary, each rank updates only its
-//     parameter shard with shard-local momentum, and the updated parameters
-//     are allgathered back.
-//   - hierarchical (Config.Topology): the exchange routes over the rank→node
-//     layout — node members to their node leader, leaders chaining partials
-//     across the inter-node fabric — multiplying down slow-link traffic.
-//     Composes with all of the above; it changes routing, never arithmetic.
+//   - Config.ShardOptimizer (sharded.go) is an owner set: ZeRO-1 — each
+//     bucket is reduced only on the ranks whose parameter shard it
+//     overlaps, each rank updates only its shard with shard-local momentum,
+//     and the updated parameters are allgathered back.
+//   - Config.Topology routes the exchange over the rank→node layout — node
+//     members to their node leader, leaders chaining partials across the
+//     inter-node fabric — multiplying down slow-link traffic. It changes
+//     routing, never arithmetic.
+//
+// Under the same compression config all combinations produce
+// bitwise-identical parameters.
 package core
 
 import (
@@ -156,30 +167,31 @@ type Config struct {
 	// the same bucketed path (for byte-accounting comparisons); "int8" and
 	// "topk" are lossy and usually pair with ErrorFeedback.
 	Compression compress.Config
-	// Overlap switches the step to the reactive gradient pipeline: buckets
-	// of the flattened gradient are intra-node reduced, compressed, and
-	// launched into the asynchronous inter-node exchange as backward compute
-	// finalizes them, and the SGD update applies per bucket as results land.
-	// The final parameters are bitwise identical to the phased bucketed path
-	// with the same Compression config (an empty Codec behaves like "none":
-	// the exact identity codec over the bucketed transport). Bucket size
-	// comes from Compression.BucketFloats (default 16384 floats).
+	// Overlap launches gradient buckets as backward compute finalizes them:
+	// each is intra-node reduced, compressed and sent into the asynchronous
+	// inter-node exchange while earlier layers are still computing, instead
+	// of all buckets being launched after backward. The SGD update still
+	// runs once, after the last bucket lands. The final parameters are
+	// bitwise identical to the phased bucketed path with the same
+	// Compression config (an empty Codec behaves like "none": the exact
+	// identity codec over the bucketed transport). Bucket size comes from
+	// Compression.BucketFloats (default 16384 floats).
 	Overlap bool
-	// OverlapInFlight caps how many buckets the reactive pipeline keeps in
-	// flight at once (default 8).
+	// OverlapInFlight caps how many buckets the bucketed exchange keeps in
+	// flight at once (default 8), with or without Overlap.
 	OverlapInFlight int
 	// ShardOptimizer enables ZeRO-1-style sharded data parallelism: each
 	// rank owns a contiguous shard of whole parameters (balanced by element
 	// count), holds only that shard's momentum, and applies only its shard's
 	// update. The step becomes reduce-scatter (each gradient bucket's
 	// compressed payload travels only to its shard owners) → local shard
-	// update → allgather of the updated parameters, instead of allreduce →
-	// full update — so per-rank optimizer-state memory and update cost scale
-	// as ~1/world-size. The gradient exchange runs the bucketed codec path
-	// (Compression; an empty Codec means the exact identity codec, like
-	// Overlap), composes with error feedback and with the reactive Overlap
-	// pipeline, and the final parameters are bitwise identical to the
-	// replicated path under the same Compression config.
+	// update after the last bucket lands → allgather of the updated
+	// parameters, instead of allreduce → full update — so per-rank
+	// optimizer-state memory and update cost scale as ~1/world-size. The
+	// gradient exchange runs the bucketed codec path (Compression; an empty
+	// Codec means the exact identity codec, like Overlap), composes with
+	// error feedback and with Overlap, and the final parameters are bitwise
+	// identical to the replicated path under the same Compression config.
 	ShardOptimizer bool
 	// Topology, when set, is the rank→node layout of the cluster (e.g.
 	// mpi.UniformTopology(learners, ranksPerNode)): the gradient exchange
@@ -200,17 +212,18 @@ type Config struct {
 // decomposition the paper's evaluation reasons about (data loading vs
 // compute vs communication). All fields are cumulative seconds.
 //
-// Under the reactive pipeline (Config.Overlap) the phases are no longer
-// disjoint wall-clock intervals: Compute covers the backward pass with the
-// bucket pipeline running underneath it, IntraNode and Update are folded
-// into the pipeline, and AllReduce records only the EXPOSED communication —
-// the tail the step still waits on after backward finishes. A shrinking
-// AllReduce share against the phased baseline is the overlap win.
+// IntraNode is measured only on the uncompressed path: the bucketed path
+// reduces each bucket intra-node inside its exchange pipeline, so that time
+// lands in AllReduce (or, under Config.Overlap, partly under Compute).
+// There, Update is the tail's optimizer step and AllReduce is all other
+// time after backward — the exposed exchange, the error-feedback update
+// and, when sharded, the parameter allgather. A shrinking AllReduce share
+// against the phased baseline is the overlap win.
 type PhaseTimes struct {
 	Data      float64 // batch sampling/decoding (DIMD or file I/O)
 	Compute   float64 // per-device forward/backward via the DPT engine
-	IntraNode float64 // intra-node gradient summation
-	AllReduce float64 // inter-node MPI allreduce (exposed tail when overlapped)
+	IntraNode float64 // intra-node gradient summation (uncompressed path)
+	AllReduce float64 // inter-node exchange and everything else after backward
 	Update    float64 // gradient broadcast to devices + SGD step
 }
 
@@ -233,23 +246,19 @@ type Learner struct {
 	scale   float32
 	phases  PhaseTimes
 
-	// Compressed-allreduce state (nil/empty when Compression is off and
-	// Overlap is off — the reactive pipeline always runs a codec, defaulting
-	// to identity).
+	// Bucketed-step state (nil/empty on the uncompressed path); see
+	// buckets.go.
 	codec       compress.Codec
+	plan        *bucketPlan
 	feedback    *compress.Feedback
-	corrected   []float32 // gradient after residual correction, pre-exchange
+	sums        []float32 // reduced buckets; aliases gradBuf unless feedback keeps it
 	selfDecoded []float32 // decode of this rank's own transmitted payloads
 	commStats   allreduce.CompressedStats
 
-	// Reactive-pipeline state (nil when Overlap is off); see reactive.go.
-	pipeline *bucketPlan
-
 	// Sharded-optimizer state (nil/empty when ShardOptimizer is off); see
-	// sharded.go. paramBounds/elemBounds are the param-aligned shard layout
-	// (length Size+1); shardOpt updates only this rank's shard of device
-	// 0's replica; flatParams is the allgather staging buffer.
-	paramBounds  []int
+	// sharded.go. elemBounds is the param-aligned shard layout (length
+	// Size+1); shardOpt updates only this rank's shard of device 0's
+	// replica; flatParams is the allgather staging buffer.
 	elemBounds   []int
 	shardOpt     *sgd.SGD
 	flatParams   []float32
@@ -300,17 +309,18 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 			return nil, err
 		}
 		l.codec = codec
+		l.plan = newBucketPlan(engine, cfg.Compression.BucketFloats)
 		if cfg.Compression.Enabled() {
 			engine.SetCompression(cfg.Compression)
 		}
+		l.sums = l.gradBuf
 		if cfg.Compression.ErrorFeedback {
+			// gradBuf keeps the corrected gradient for the residual update,
+			// so the sums land in a buffer of their own.
 			l.feedback = compress.NewFeedback(engine.GradSize())
-			l.corrected = make([]float32, engine.GradSize())
+			l.sums = make([]float32, engine.GradSize())
 			l.selfDecoded = make([]float32, engine.GradSize())
 		}
-	}
-	if cfg.Overlap {
-		l.pipeline = newBucketPlan(engine, cfg.Compression.BucketFloats)
 	}
 	m := engine.NumDevices()
 	bNode := cfg.BatchPerDevice * m
@@ -321,9 +331,10 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 		l.scale = 1 / float32(comm.Size()*m)
 	}
 	if cfg.ShardOptimizer {
-		l.paramBounds, l.elemBounds = paramShardBounds(engine, comm.Size())
+		var paramBounds []int
+		paramBounds, l.elemBounds = paramShardBounds(engine, comm.Size())
 		rank := comm.Rank()
-		l.shardOpt = sgd.NewShard(engine.Params(0), cfg.SGD, l.paramBounds[rank], l.paramBounds[rank+1])
+		l.shardOpt = sgd.NewShard(engine.Params(0), cfg.SGD, paramBounds[rank], paramBounds[rank+1])
 		l.flatParams = make([]float32, engine.GradSize())
 	} else {
 		for d := 0; d < m; d++ {
@@ -362,9 +373,9 @@ func (l *Learner) broadcastInitialWeights() error {
 }
 
 // Step runs one iteration of Algorithm 1 and returns this learner's local
-// mean loss. Per-phase wall times accumulate in Phases. With Config.Overlap
-// the phased body below is replaced by the reactive pipeline (reactive.go),
-// which produces bitwise-identical parameters.
+// mean loss. Per-phase wall times accumulate in Phases. With a codec the
+// body below is replaced by the bucketed step (buckets.go); under the
+// "none" codec it produces bitwise-identical parameters.
 func (l *Learner) Step() (float64, error) {
 	// 1. Sample Bnode images locally (random from the in-memory store).
 	t0 := time.Now()
@@ -373,8 +384,8 @@ func (l *Learner) Step() (float64, error) {
 	}
 	t1 := time.Now()
 	l.phases.Data += t1.Sub(t0).Seconds()
-	if l.pipeline != nil {
-		return l.stepOverlapped(t1)
+	if l.plan != nil {
+		return l.stepBuckets(t1)
 	}
 	// 2-3. Per-device forward/backward; intra-node summation.
 	loss, err := l.engine.Step(l.x, l.labels)
@@ -388,30 +399,8 @@ func (l *Learner) Step() (float64, error) {
 	}
 	t3 := time.Now()
 	l.phases.IntraNode += t3.Sub(t2).Seconds()
-	if l.shardOpt != nil {
-		return l.stepSharded(loss, t3)
-	}
-	// 4. Global inter-node summation (MPI allreduce) — through the bucketed
-	// compressed path when a codec is configured.
-	if l.codec != nil {
-		if l.feedback != nil {
-			l.feedback.Correct(l.gradBuf)
-			copy(l.corrected, l.gradBuf)
-		}
-		st, err := allreduce.BucketedAllReduce(l.comm, l.gradBuf, l.codec, allreduce.CompressedOptions{
-			BucketFloats: l.cfg.Compression.BucketFloats,
-			SelfDecoded:  l.selfDecoded,
-			Topology:     l.topo,
-		})
-		if err != nil {
-			return 0, fmt.Errorf("core: compressed allreduce: %w", err)
-		}
-		l.commStats.Add(st)
-		l.engine.AddAllReduceBytes(st.BytesSent + st.BytesRecv)
-		if l.feedback != nil {
-			l.feedback.Update(l.corrected, l.selfDecoded)
-		}
-	} else if err := allreduce.AllReduce(l.comm, l.gradBuf, l.cfg.Allreduce, l.cfg.AllreduceOpts); err != nil {
+	// 4. Global inter-node summation (MPI allreduce).
+	if err := allreduce.AllReduce(l.comm, l.gradBuf, l.cfg.Allreduce, l.cfg.AllreduceOpts); err != nil {
 		return 0, fmt.Errorf("core: allreduce: %w", err)
 	}
 	t4 := time.Now()

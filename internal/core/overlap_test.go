@@ -8,6 +8,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/nn"
 	"repro/internal/sgd"
+	"repro/internal/tensor"
 )
 
 // runOverlap trains the standard small synthetic workload with the given
@@ -157,5 +158,82 @@ func TestOverlapRejectsUnknownCodec(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// badFirstBatch serves one batch with out-of-range labels, then the inner
+// source's batches.
+type badFirstBatch struct {
+	inner  BatchSource
+	served bool
+}
+
+func (s *badFirstBatch) NextBatch(x *tensor.Tensor, labels []int) error {
+	if !s.served {
+		s.served = true
+		for i := range labels {
+			labels[i] = 99
+		}
+		return nil
+	}
+	return s.inner.NextBatch(x, labels)
+}
+
+// TestBucketedStepAbortLeavesNoTrace: a bucketed step whose loss forward
+// fails must change nothing — no update, no error-feedback residual, no
+// step count — and must leave the learner able to step again. Under both
+// launch policies the learner then ends bitwise identical to one that
+// never saw the bad batch.
+func TestBucketedStepAbortLeavesNoTrace(t *testing.T) {
+	const classes, size, steps = 3, 8, 4
+	dataX, dataLabels := SyntheticTensorData(16, classes, size, 31)
+	for _, overlap := range []bool{false, true} {
+		train := func(bad bool) []float32 {
+			w := mpi.NewWorld(1)
+			defer w.Close()
+			var weights []float32
+			err := w.Run(func(c *mpi.Comm) error {
+				var src BatchSource = &SliceSource{X: dataX, Labels: dataLabels, Ranks: 1}
+				if bad {
+					src = &badFirstBatch{inner: src}
+				}
+				l, err := NewLearner(c, []nn.Layer{bnFreeCNN(classes, size, 5), bnFreeCNN(classes, size, 5)}, src, 3, size, size, Config{
+					BatchPerDevice: 2,
+					Schedule:       sgd.Const(0.1),
+					SGD:            sgd.DefaultConfig(),
+					Compression:    compress.Config{Codec: "int8", ErrorFeedback: true, BucketFloats: 64},
+					Overlap:        overlap,
+				})
+				if err != nil {
+					return err
+				}
+				defer l.Close()
+				if bad {
+					if _, err := l.Step(); err == nil {
+						t.Errorf("overlap=%v: step on out-of-range labels succeeded", overlap)
+					}
+				}
+				for s := 0; s < steps; s++ {
+					if _, err := l.Step(); err != nil {
+						return err
+					}
+				}
+				if l.StepCount() != steps {
+					t.Errorf("overlap=%v: step count %d, want %d", overlap, l.StepCount(), steps)
+				}
+				weights, err = l.FlatWeights()
+				return err
+			})
+			if err != nil {
+				t.Fatalf("overlap=%v bad=%v: %v", overlap, bad, err)
+			}
+			return weights
+		}
+		want, got := train(false), train(true)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("overlap=%v weight[%d]: %v after an aborted step, %v without", overlap, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -2,21 +2,20 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/allreduce"
 	"repro/internal/dpt"
 )
 
-// This file implements ZeRO-1-style sharded data parallelism behind
-// Config.ShardOptimizer. The replicated Algorithm 1 step holds a full
-// optimizer-state replica and applies the full update on every rank; the
-// sharded step decomposes its allreduce at the reduce-scatter boundary:
+// This file holds the shard layout behind Config.ShardOptimizer (ZeRO-1).
+// The replicated step holds a full optimizer-state replica and applies the
+// full update on every rank; the sharded bucketed step (buckets.go) stops
+// its exchange at the reduce-scatter boundary:
 //
-//	intra-node sum → reduce-scatter (each gradient bucket's compressed
-//	payload travels only to its shard owners) → this rank updates ONLY its
-//	contiguous parameter shard, with only that shard's momentum → allgather
-//	of the updated parameters → every device's replica refreshed
+//	reduce-scatter (each gradient bucket's compressed payload travels only
+//	to its shard owners) → this rank updates ONLY its contiguous parameter
+//	shard, with only that shard's momentum → allgather of the updated
+//	parameters → every device's replica refreshed
 //
 // Shards are whole parameters (balanced by element count), so LARS-style
 // per-layer norms and NoWeightDecay flags stay rank-local. A bucket's
@@ -59,63 +58,6 @@ func paramShardBounds(engine *dpt.Engine, ranks int) (paramB, elemB []int) {
 func (l *Learner) shardRange() (lo, hi int) {
 	rank := l.comm.Rank()
 	return l.elemBounds[rank], l.elemBounds[rank+1]
-}
-
-// stepSharded finishes a phased training step in sharded mode: called after
-// batch sampling, compute and the intra-node sum (t3 is the intra-node end
-// time; loss is the step's local mean loss). Mirrors the tail of
-// Learner.Step with the allreduce decomposed.
-func (l *Learner) stepSharded(loss float64, t3 time.Time) (float64, error) {
-	// 4a. Reduce-scatter: after this, gradBuf holds the global sum over
-	// every bucket overlapping this rank's shard.
-	if l.feedback != nil {
-		l.feedback.Correct(l.gradBuf)
-		copy(l.corrected, l.gradBuf)
-	}
-	st, err := allreduce.BucketedReduceScatter(l.comm, l.gradBuf, l.codec, allreduce.CompressedOptions{
-		BucketFloats: l.cfg.Compression.BucketFloats,
-		SelfDecoded:  l.selfDecoded,
-		ShardBounds:  l.elemBounds,
-		Topology:     l.topo,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("core: reduce-scatter: %w", err)
-	}
-	l.commStats.Add(st)
-	l.engine.AddAllReduceBytes(st.BytesSent + st.BytesRecv)
-	if l.feedback != nil {
-		// The residual update is rank-local (own corrected gradient vs own
-		// transmitted payloads), so it stays full-length under sharding.
-		l.feedback.Update(l.corrected, l.selfDecoded)
-	}
-	t4 := time.Now()
-	l.phases.AllReduce += t4.Sub(t3).Seconds()
-
-	// 4b. Local shard update: scale, hand the shard's gradient to device
-	// 0's replica, and step only the owned parameters with the shard-local
-	// momentum. Element-for-element the same arithmetic as the replicated
-	// update over this range.
-	lo, hi := l.shardRange()
-	if l.scale != 1 {
-		seg := l.gradBuf[lo:hi]
-		for i := range seg {
-			seg[i] *= l.scale
-		}
-	}
-	if err := l.engine.ScatterRangeDev(0, lo, hi, l.gradBuf[lo:hi]); err != nil {
-		return 0, err
-	}
-	l.shardOpt.Step(l.currentLR())
-	t5 := time.Now()
-	l.phases.Update += t5.Sub(t4).Seconds()
-
-	// 4c. Allgather of updated parameters + intra-node weight broadcast.
-	if err := l.allGatherParams(); err != nil {
-		return 0, err
-	}
-	l.phases.AllReduce += time.Since(t5).Seconds()
-	l.step++
-	return loss, nil
 }
 
 // allGatherParams assembles this rank's updated shard from device 0,

@@ -21,12 +21,12 @@
 // simulator can account for the difference.
 //
 // Beyond the per-step Step/SumGrads pair, the engine exposes the
-// incremental surface the upper schedules are built on: StepWithGradHook
-// streams per-(device, param) gradient readiness into internal/core's
-// reactive pipeline, ReduceRangeInto/ScatterRange move single buckets for
-// the overlapped exchange, and ScatterRangeDev/FlattenValuesRange/SetValues
-// serve the sharded (ZeRO-1) update path. How the four execution paths
-// compose these is mapped in docs/ARCHITECTURE.md.
+// incremental surface internal/core's bucketed step is built on:
+// StepWithGradHook streams per-(device, param) gradient readiness for the
+// Overlap launch policy, ReduceRangeInto reduces single buckets, and
+// ScatterRangeDev/FlattenValuesRange/SetValues serve the sharded (ZeRO-1)
+// update. How the two execution paths compose these is mapped in
+// docs/ARCHITECTURE.md.
 package dpt
 
 import (
@@ -113,8 +113,8 @@ type Engine struct {
 	// sumScratch is SumGrads' flatten buffer, reused across steps.
 	sumScratch []float32
 	// offsets[i] is parameter i's start in the flattened gradient; the
-	// reactive pipeline uses it to map parameters onto fixed-size buckets
-	// and to reduce/scatter sub-ranges without a full-vector flatten.
+	// bucketed step uses it to map parameters onto fixed-size buckets and
+	// to reduce/scatter sub-ranges without a full-vector flatten.
 	offsets []int
 	// paramIdx maps any device's Param pointer back to its index (all
 	// replicas share the same parameter order).
@@ -290,13 +290,17 @@ func (e *Engine) stepOptimized(x *tensor.Tensor, labels []int, sizes []int) (flo
 		e.stats.BytesMoved += int64(4 * sizes[i] * rowLen)
 		e.mu.Unlock()
 	}
-	var loss float64
+	// Join every device before inspecting losses: a failing step must not
+	// return while another device still reads the caller's batch.
 	for _, d := range e.devices {
 		d.done.Wait()
 		// One ending callback per device per step.
 		e.mu.Lock()
 		e.stats.Serializations++
 		e.mu.Unlock()
+	}
+	var loss float64
+	for _, d := range e.devices {
 		if d.partN == 0 {
 			continue
 		}

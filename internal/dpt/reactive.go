@@ -9,10 +9,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file is the engine's reactive face: instead of the full-step barrier
-// (Step, then SumGrads over the whole flattened vector), the step emits
-// per-device gradient readiness incrementally and reduces/scatters arbitrary
-// sub-ranges of the flattened gradient, so the training loop can pack
+// This file is the engine's bucketed face: instead of the full-step barrier
+// (Step, then SumGrads over the whole flattened vector), the step can emit
+// per-device gradient readiness incrementally, and arbitrary sub-ranges of
+// the flattened gradient can be reduced, so the training loop can pack
 // buckets and launch inter-node communication while backward is still
 // running on the devices.
 
@@ -177,22 +177,9 @@ func (e *Engine) ReduceRangeInto(dst []float32, lo, hi int) error {
 	return nil
 }
 
-// ScatterRange writes src (length hi-lo) into every device's gradient
-// accumulators over the flattened range [lo, hi) — the per-bucket form of
-// SetGrads' intra-node broadcast.
-func (e *Engine) ScatterRange(lo, hi int, src []float32) error {
-	if err := e.checkRange("ScatterRange", lo, hi, len(src)); err != nil {
-		return err
-	}
-	first, last := e.paramsOverlapping(lo, hi)
-	for dev := range e.devices {
-		e.scatterRangeDev(dev, lo, hi, src, first, last)
-	}
-	return nil
-}
-
-// ScatterRangeDev is ScatterRange restricted to one device — the sharded
-// optimizer's form: only the device whose replica the shard optimizer reads
+// ScatterRangeDev writes src (length hi-lo) into device dev's gradient
+// accumulators over the flattened range [lo, hi) — the sharded optimizer's
+// form of SetGrads: only the device whose replica the shard optimizer reads
 // needs the reduced gradient, the others receive updated *weights* via
 // SetValues after the parameter allgather.
 func (e *Engine) ScatterRangeDev(dev, lo, hi int, src []float32) error {
@@ -202,20 +189,14 @@ func (e *Engine) ScatterRangeDev(dev, lo, hi int, src []float32) error {
 	if err := e.checkRange("ScatterRangeDev", lo, hi, len(src)); err != nil {
 		return err
 	}
-	first, last := e.paramsOverlapping(lo, hi)
-	e.scatterRangeDev(dev, lo, hi, src, first, last)
-	return nil
-}
-
-// scatterRangeDev copies src into device dev's gradient accumulators over
-// [lo, hi); bounds and src length are already validated.
-func (e *Engine) scatterRangeDev(dev, lo, hi int, src []float32, first, last int) {
 	d := e.devices[dev]
+	first, last := e.paramsOverlapping(lo, hi)
 	for i := first; i < last; i++ {
 		pLo, pHi := e.ParamRange(i)
 		s, t := max(pLo, lo), min(pHi, hi)
 		copy(d.params[i].Grad.Data[s-pLo:t-pLo], src[s-lo:t-lo])
 	}
+	return nil
 }
 
 // FlattenValuesRange copies device dev's parameter VALUES over the flattened

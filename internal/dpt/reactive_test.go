@@ -121,8 +121,8 @@ func TestReduceRangeMatchesSumGrads(t *testing.T) {
 	}
 }
 
-// TestScatterRangeMatchesSetGrads: scattering bucket by bucket must leave
-// every device's accumulators identical to a full SetGrads.
+// TestScatterRangeMatchesSetGrads: scattering bucket by bucket into every
+// device must leave its accumulators identical to a full SetGrads.
 func TestScatterRangeMatchesSetGrads(t *testing.T) {
 	e, _, _ := reactiveFixture(t, 2)
 	flat := make([]float32, e.GradSize())
@@ -149,8 +149,10 @@ func TestScatterRangeMatchesSetGrads(t *testing.T) {
 		if hi > e.GradSize() {
 			hi = e.GradSize()
 		}
-		if err := e.ScatterRange(lo, hi, flat[lo:hi]); err != nil {
-			t.Fatal(err)
+		for d := 0; d < e.NumDevices(); d++ {
+			if err := e.ScatterRangeDev(d, lo, hi, flat[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	got := make([]float32, e.GradSize())
@@ -164,7 +166,7 @@ func TestScatterRangeMatchesSetGrads(t *testing.T) {
 			}
 		}
 	}
-	if err := e.ScatterRange(-1, 3, make([]float32, 4)); err == nil {
+	if err := e.ScatterRangeDev(0, -1, 3, make([]float32, 4)); err == nil {
 		t.Fatal("negative range should error")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // TCPWorld connects ranks over TCP sockets, one listener per rank, for runs
 // where each learner is a separate OS process (or to exercise a real network
 // stack under the collectives). Frames are length-prefixed:
-// [src:4][ctx:8][tag:4][len:4][payload].
+// [src:4][ctx:8][tag:4][len:4][payload], with len at most maxFrameBytes.
 //
 // Failure handling mirrors the in-memory world's three detection channels:
 //
@@ -65,6 +65,20 @@ func DefaultReconnectPolicy() ReconnectPolicy {
 }
 
 const tcpFrameHeader = 4 + 8 + 4 + 4
+
+// maxFrameBytes bounds the payload length a frame header may claim. The
+// largest message any code path sends is one whole float32 weight or
+// gradient vector (the initial weight broadcast, the async weight pushes);
+// the largest model the repository builds, VGG-16 with ~138M parameters,
+// makes that ~553 MB, so 1 GiB covers every real frame while a corrupt
+// header can no longer make the reader allocate up to 4 GiB.
+const maxFrameBytes = 1 << 30
+
+// ErrFrameTooLarge reports an inbound TCP frame whose header claims more
+// than maxFrameBytes of payload. The stream cannot be resynchronized after
+// it, so the reader closes the connection and marks the frame's source
+// down: receives from it fail with a *RankDownError wrapping this error.
+var ErrFrameTooLarge = errors.New("mpi: tcp frame length over limit")
 
 // NewTCPWorld creates the transport endpoint for one rank. addrs lists every
 // rank's listen address in rank order; addrs[rank] is bound locally. Call
@@ -169,6 +183,12 @@ func (w *TCPWorld) readLoop(conn net.Conn) {
 		ctx := binary.LittleEndian.Uint64(hdr[4:])
 		tag := int(int32(binary.LittleEndian.Uint32(hdr[12:])))
 		n := binary.LittleEndian.Uint32(hdr[16:])
+		if n > maxFrameBytes {
+			if src != w.rank {
+				w.box.markDownCause(src, fmt.Errorf("%w: %d bytes claimed, limit %d", ErrFrameTooLarge, n, maxFrameBytes))
+			}
+			return
+		}
 		payload := GetBytes(int(n))
 		if _, err := io.ReadFull(conn, payload); err != nil {
 			PutBytes(payload)

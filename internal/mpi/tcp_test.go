@@ -1,8 +1,13 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -315,5 +320,52 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("restarted peer never received a frame")
 		}
+	}
+}
+
+// TestTCPRejectsOversizedFrame: a header claiming a 4 GiB payload must not
+// make the reader allocate it. The connection is closed and the claimed
+// source is marked down, so a receive from it fails typed.
+func TestTCPRejectsOversizedFrame(t *testing.T) {
+	worlds := startTCPCluster(t, 2)
+	c0, err := worlds[0].Comm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", worlds[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hdr [tcpFrameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:], 1) // src
+	binary.LittleEndian.PutUint64(hdr[4:], 1) // the world communicator's context
+	binary.LittleEndian.PutUint32(hdr[12:], 5)
+	binary.LittleEndian.PutUint32(hdr[16:], math.MaxUint32)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := c0.Recv(1, 5)
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, ErrRankDown) || DownRank(err) != 1 {
+			t.Fatalf("recv error %v, want a rank-1 RankDownError wrapping ErrFrameTooLarge", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("oversized frame never failed the receive")
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("reader left the connection open: read error %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrameBytes {
+		t.Fatalf("reader allocated %d bytes for the rejected frame", grew)
 	}
 }

@@ -104,10 +104,8 @@ func (o *SGD) Step(lr float32) {
 
 // StepParam updates the single parameter at index i (the optimizer's
 // construction order). Parameter updates are independent, so applying them
-// one at a time as reduced gradient buckets land — the reactive pipeline's
-// per-bucket update — is bitwise identical to a full Step. Indices outside
-// the shard are a no-op, so a per-bucket driver can count down every param
-// uniformly and let the optimizer enforce ownership.
+// one at a time is bitwise identical to a full Step. Indices outside the
+// shard are a no-op.
 func (o *SGD) StepParam(i int, lr float32) {
 	if !o.Owns(i) {
 		return

@@ -148,8 +148,7 @@ func TestTwoReplicasStayInSyncUnderIdenticalUpdates(t *testing.T) {
 }
 
 // TestStepParamMatchesStep: updating parameters one at a time in any order
-// must be bitwise identical to a full Step — the invariant the reactive
-// pipeline's per-bucket updates rely on.
+// must be bitwise identical to a full Step.
 func TestStepParamMatchesStep(t *testing.T) {
 	build := func() []*nn.Param {
 		return []*nn.Param{
