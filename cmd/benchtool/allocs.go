@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 
 	"repro/internal/allreduce"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/nn"
@@ -23,7 +20,7 @@ type allocsRun struct {
 	NumGC            uint32  `json:"num_gc"`
 }
 
-// allocsReport is the JSON schema of the -allocs workload; BENCH_alloc.json
+// allocsReport is the JSON schema of the allocs workload; BENCH_alloc.json
 // at the repo root is one of these, and CI gates on it.
 type allocsReport struct {
 	Workload       string    `json:"workload"`
@@ -42,27 +39,20 @@ type allocsReport struct {
 // allocsWorkload measures allocations per training step for the phased and
 // overlapped schedules of a comm-dominated job on an in-process cluster.
 // Warmup steps run first so the shared buffer pools are populated and the
-// numbers reflect steady state. When baselinePath is set, the run fails if
-// either schedule's allocs/op regresses by more than maxRegress versus the
-// committed baseline — the CI gate. The JSON report always lands somewhere
-// inspectable: at jsonPath when given, in the OS temp directory otherwise
-// (so routine gate runs never leave stray report files in the tree).
+// numbers reflect steady state. The run fails if either schedule's
+// allocs/step regresses by more than maxRegress versus the committed
+// BENCH_alloc.json — the CI gate — unless -update rewrites that baseline.
 //
 // The run pins GOMAXPROCS to allocsProcs: kernel pool dispatch allocates
 // per parallel job, so the count depends on the host's CPU count unless the
 // width is fixed.
-func allocsWorkload(codec string, topkRatio float64, learners, devices, steps int, jsonPath, baselinePath string, maxRegress float64) error {
+func allocsWorkload(o options) error {
+	const learners, devices, steps = 2, 1, 25
 	const classes, size, batchPerDevice = 8, 16, 8
 	const bucketFloats = 1024
 	const warmup = 5
 	const allocsProcs = 1
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(allocsProcs))
-	if codec == "" {
-		codec = "none"
-	}
-	if learners < 2 {
-		return fmt.Errorf("benchtool: -allocs needs at least 2 learners (got %d) to exercise the exchange", learners)
-	}
 	images := batchPerDevice * devices * learners
 	dataX, dataLabels := core.SyntheticTensorData(images, classes, size, 23)
 
@@ -79,16 +69,11 @@ func allocsWorkload(codec string, topkRatio float64, learners, devices, steps in
 			l, err := core.NewLearner(c, replicas, &core.SliceSource{
 				X: dataX, Labels: dataLabels, Rank: c.Rank(), Ranks: learners,
 			}, 3, size, size, core.Config{
-				BatchPerDevice: batchPerDevice,
-				Allreduce:      allreduce.AlgMultiColor,
-				Schedule:       sgd.Const(0.05),
-				SGD:            sgd.DefaultConfig(),
-				Compression: compress.Config{
-					Codec:         codec,
-					TopKRatio:     topkRatio,
-					ErrorFeedback: codec == "topk",
-					BucketFloats:  bucketFloats,
-				},
+				BatchPerDevice:  batchPerDevice,
+				Allreduce:       allreduce.AlgMultiColor,
+				Schedule:        sgd.Const(0.05),
+				SGD:             sgd.DefaultConfig(),
+				Compression:     codecConfig(o.codec, bucketFloats),
 				Overlap:         overlap,
 				OverlapInFlight: 16,
 			})
@@ -154,7 +139,7 @@ func allocsWorkload(codec string, topkRatio float64, learners, devices, steps in
 
 	rep := allocsReport{
 		Workload:       "allocs",
-		Codec:          codec,
+		Codec:          o.codec,
 		Learners:       learners,
 		DevicesPerNode: devices,
 		WarmupSteps:    warmup,
@@ -166,7 +151,7 @@ func allocsWorkload(codec string, topkRatio float64, learners, devices, steps in
 		Overlapped:     overlapped,
 	}
 	fmt.Printf("allocs workload: codec=%s learners=%d devices=%d steps=%d (+%d warmup) grad=%d floats buckets=%d floats GOMAXPROCS=%d\n",
-		codec, learners, devices, steps, warmup, gradFloats, bucketFloats, allocsProcs)
+		o.codec, learners, devices, steps, warmup, gradFloats, bucketFloats, allocsProcs)
 	for _, row := range []struct {
 		name string
 		r    allocsRun
@@ -175,33 +160,10 @@ func allocsWorkload(codec string, topkRatio float64, learners, devices, steps in
 			row.name, row.r.AllocsPerStep, row.r.BytesPerStep, row.r.GCPauseNsPerStep, row.r.NumGC)
 	}
 
-	if err := writeReport(jsonPath, "BENCH_alloc.*.json", rep); err != nil {
-		return err
-	}
-
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("benchtool: reading allocs baseline: %w", err)
+	return baselineGate(o, "BENCH_alloc.json", "BENCH_alloc.*.json", &rep, func(base *allocsReport) []check {
+		return []check{
+			{"phased allocs/step", phased.AllocsPerStep, base.Phased.AllocsPerStep, false},
+			{"overlapped allocs/step", overlapped.AllocsPerStep, base.Overlapped.AllocsPerStep, false},
 		}
-		var base allocsReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("benchtool: parsing allocs baseline %s: %w", baselinePath, err)
-		}
-		check := func(name string, got, want float64) error {
-			if want > 0 && got > want*maxRegress {
-				return fmt.Errorf("benchtool: %s allocs/step regressed: %.0f vs baseline %.0f (limit %.1fx)",
-					name, got, want, maxRegress)
-			}
-			fmt.Printf("  %-10s allocs/step %.0f within %.1fx of baseline %.0f\n", name, got, maxRegress, want)
-			return nil
-		}
-		if err := check("phased", phased.AllocsPerStep, base.Phased.AllocsPerStep); err != nil {
-			return err
-		}
-		if err := check("overlapped", overlapped.AllocsPerStep, base.Overlapped.AllocsPerStep); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }

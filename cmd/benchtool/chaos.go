@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/elastic"
 	"repro/internal/nn"
@@ -24,35 +23,19 @@ type chaosStep struct {
 	Delta    float64 `json:"delta"`
 }
 
-// chaosOpts parameterizes one chaos run.
-type chaosOpts struct {
-	seed      int64
-	learners  int
-	steps     int
-	killEvery int
-	rejoin    bool
-	// scenario: "kill" (plain crashes), "kill-negotiation" (a second victim
-	// dies inside the membership negotiation), "kill-restore" (a second
-	// victim dies after applying the restored checkpoint), or "netsplit"
-	// (crashes under seeded message loss, mailbox transport only).
-	scenario string
-	// transport: "mem" (default) or "tcp" for real loopback sockets.
-	transport string
-	// codec/topkRatio select the gradient wire format for BOTH the chaos run
-	// and its failure-free baseline, so lossy codecs stay comparable: the
-	// tolerance gate measures crash damage, not compression error.
-	codec     string
-	topkRatio float64
-	// spares backfills up to this many victims with standby identities
-	// instead of rejoining them — the spare-pool admission path.
-	spares            int
-	heartbeatInterval time.Duration
-	suspectAfter      time.Duration
-	tolerance         float64
-	jsonPath          string
-}
+// The chaos workload's fixed parameters, all recorded in its report.
+const (
+	chaosSeed          = 1
+	chaosLearners      = 4
+	chaosSteps         = 12
+	chaosKillEvery     = 5
+	chaosHeartbeat     = 50 * time.Millisecond
+	chaosTolerance     = 0.1
+	chaosGlobalBatch   = 12
+	chaosDetectTimeout = 2 * time.Second
+)
 
-// chaosReport is the JSON schema of the -chaos workload; CI uploads one per
+// chaosReport is the JSON schema of the chaos workload; CI uploads one per
 // scenario×transport cell as the chaos.json artifact and gates on Passed.
 type chaosReport struct {
 	Workload             string          `json:"workload"`
@@ -86,42 +69,30 @@ type chaosReport struct {
 }
 
 // chaosPlan builds the fault schedule for one scenario. The plain kill
-// schedule murders the highest identities first, one every killEvery steps,
-// leaving identity 0 alive to the end. The recovery-phase scenarios land a
-// SECOND victim inside the recovery of the first — in the membership
-// negotiation or in the restore window. Backfill brings each victim's
-// capacity back two steps after the loss: rejoining the victim itself, or
-// (with spares budgeted) admitting a standby identity in its place, so the
-// world-size trajectory is identical either way.
-func chaosPlan(o chaosOpts, globalBatch int) (elastic.Plan, error) {
+// schedule murders the highest identities first, one every chaosKillEvery
+// steps, leaving identity 0 alive to the end. The recovery-phase scenarios
+// land a SECOND victim inside the recovery of the first — in the membership
+// negotiation or in the restore window. With rejoin on, each victim comes
+// back two steps after its loss.
+func chaosPlan(scenario, transport string, rejoin bool) (elastic.Plan, error) {
 	plan := elastic.Plan{
-		Seed:               o.seed,
+		Seed:               chaosSeed,
 		CrashAtStep:        map[int]int{},
 		CrashInNegotiation: map[int]int{},
 		CrashInRestore:     map[int]int{},
 		RejoinAtStep:       map[int]int{},
-		SpareJoinAtStep:    map[int]int{},
-		DetectTimeout:      2 * time.Second,
+		DetectTimeout:      chaosDetectTimeout,
 	}
-	sparesLeft := o.spares
-	nextSpare := o.learners
 	backfill := func(victim, step int) {
-		if !o.rejoin || step+2 >= o.steps {
-			return
+		if rejoin && step+2 < chaosSteps {
+			plan.RejoinAtStep[victim] = step + 2
 		}
-		if sparesLeft > 0 {
-			plan.SpareJoinAtStep[nextSpare] = step + 2
-			nextSpare++
-			sparesLeft--
-			return
-		}
-		plan.RejoinAtStep[victim] = step + 2
 	}
 
-	switch o.scenario {
+	switch scenario {
 	case "kill", "netsplit":
-		if o.scenario == "netsplit" {
-			if o.transport == elastic.TransportTCP {
+		if scenario == "netsplit" {
+			if transport == elastic.TransportTCP {
 				return plan, fmt.Errorf("benchtool: the netsplit scenario needs the mailbox transport (TCP cannot drop messages deterministically)")
 			}
 			// A flaky partition: every training-plane link loses this
@@ -130,38 +101,26 @@ func chaosPlan(o chaosOpts, globalBatch int) (elastic.Plan, error) {
 			// on top of the real kills.
 			plan.DropProb = 0.01
 		}
-		step := o.killEvery
-		for id := o.learners - 1; id >= 1 && step < o.steps; id-- {
+		step := chaosKillEvery
+		for id := chaosLearners - 1; id >= 1 && step < chaosSteps; id-- {
 			plan.CrashAtStep[id] = step
 			backfill(id, step)
-			step += o.killEvery
+			step += chaosKillEvery
 		}
 	case "kill-negotiation", "kill-restore":
-		if o.learners < 3 {
-			return plan, fmt.Errorf("benchtool: scenario %s kills two ranks at once and needs >= 3 learners", o.scenario)
-		}
-		if rest := o.learners - 2; globalBatch%rest != 0 {
-			return plan, fmt.Errorf("benchtool: scenario %s shrinks the world to %d ranks, which does not divide the fixed global batch %d", o.scenario, rest, globalBatch)
-		}
-		if o.killEvery >= o.steps {
-			return plan, fmt.Errorf("benchtool: -chaos-kill-every %d never fires within %d steps", o.killEvery, o.steps)
-		}
-		first, second := o.learners-1, o.learners-2
-		plan.CrashAtStep[first] = o.killEvery
-		if o.scenario == "kill-negotiation" {
-			plan.CrashInNegotiation[second] = o.killEvery
+		first, second := chaosLearners-1, chaosLearners-2
+		plan.CrashAtStep[first] = chaosKillEvery
+		if scenario == "kill-negotiation" {
+			plan.CrashInNegotiation[second] = chaosKillEvery
 		} else {
 			// Per-step capture cadence: the recovery resumes at the crash
 			// step itself, which is where the restore-window victim dies.
-			plan.CrashInRestore[second] = o.killEvery
+			plan.CrashInRestore[second] = chaosKillEvery
 		}
-		backfill(first, o.killEvery)
-		backfill(second, o.killEvery)
+		backfill(first, chaosKillEvery)
+		backfill(second, chaosKillEvery)
 	default:
-		return plan, fmt.Errorf("benchtool: unknown chaos scenario %q (want kill, kill-negotiation, kill-restore, or netsplit)", o.scenario)
-	}
-	if len(plan.CrashAtStep) == 0 {
-		return plan, fmt.Errorf("benchtool: -chaos schedule kills nobody (steps=%d, kill-every=%d); lengthen the run", o.steps, o.killEvery)
+		return plan, fmt.Errorf("benchtool: unknown chaos scenario %q (want kill, kill-negotiation, kill-restore, or netsplit)", scenario)
 	}
 	return plan, nil
 }
@@ -188,35 +147,15 @@ func percentile(sorted []float64, p float64) float64 {
 // gates on the damage staying within tolerance. The global batch is fixed
 // at 12 (divisible by every world size the schedules pass through), so both
 // runs see the same data stream and the post-resync loss trajectory is
-// directly comparable. A crash mid-protocol, a recovery that deadlocks, or
-// a final loss drifting more than tolerance (relative) from the baseline
-// all exit nonzero — the CI chaos gate.
-func chaosWorkload(o chaosOpts) error {
-	const classes, size, images, globalBatch = 4, 8, 72, 12
-	if o.learners < 2 || globalBatch%o.learners != 0 {
-		return fmt.Errorf("benchtool: -chaos needs 2..%d learners dividing the fixed global batch (got %d)", globalBatch, o.learners)
-	}
-	if o.killEvery < 1 {
-		return fmt.Errorf("benchtool: -chaos-kill-every must be >= 1 (got %d)", o.killEvery)
-	}
-	if o.scenario == "" {
-		o.scenario = "kill"
-	}
-	if o.codec == "" {
-		o.codec = "none"
-	}
-	if o.transport == "" {
-		o.transport = elastic.TransportMem
-	}
-	if o.scenario == "netsplit" {
-		// Backfill is disabled under message loss: growing the world
-		// requires a clean collective checkpoint at the boundary, which a
-		// lossy fabric cannot promise.
-		o.rejoin = false
-		o.spares = 0
-	}
-
-	plan, err := chaosPlan(o, globalBatch)
+// directly comparable. The codec applies to both runs, so lossy codecs stay
+// comparable: the gate measures crash damage, not compression error.
+func chaosWorkload(o options) error {
+	const classes, size, images = 4, 8, 72
+	// Backfill is disabled under message loss: growing the world requires a
+	// clean collective checkpoint at the boundary, which a lossy fabric
+	// cannot promise.
+	rejoin := o.scenario != "netsplit"
+	plan, err := chaosPlan(o.scenario, o.transport, rejoin)
 	if err != nil {
 		return err
 	}
@@ -224,24 +163,19 @@ func chaosWorkload(o chaosOpts) error {
 	dataX, dataLabels := core.SyntheticTensorData(images, classes, size, 23)
 	baseCfg := func(plan elastic.Plan) elastic.Config {
 		return elastic.Config{
-			Identities:        o.learners,
-			GlobalBatch:       globalBatch,
-			Steps:             o.steps,
+			Identities:        chaosLearners,
+			GlobalBatch:       chaosGlobalBatch,
+			Steps:             chaosSteps,
 			Transport:         o.transport,
-			HeartbeatInterval: o.heartbeatInterval,
-			SuspectAfter:      o.suspectAfter,
+			HeartbeatInterval: chaosHeartbeat,
 			NewReplica:        func(s int64) nn.Layer { return core.SmallBNFreeCNN(classes, size, 500+s) },
 			Data:              dataX,
 			Labels:            dataLabels,
 			InputC:            3, InputH: size, InputW: size,
 			Learner: core.Config{
-				Schedule: sgd.Const(0.05),
-				SGD:      sgd.DefaultConfig(),
-				Compression: compress.Config{
-					Codec:         o.codec,
-					TopKRatio:     o.topkRatio,
-					ErrorFeedback: o.codec == "topk",
-				},
+				Schedule:       sgd.Const(0.05),
+				SGD:            sgd.DefaultConfig(),
+				Compression:    codecConfig(o.codec, 0),
 				ShardOptimizer: true,
 			},
 			Plan: plan,
@@ -252,7 +186,7 @@ func chaosWorkload(o chaosOpts) error {
 	if o.scenario == "netsplit" {
 		// The baseline for a netsplit is the same flaky fabric without the
 		// kills: drops alone must not change the math (they only delay).
-		baselinePlan.Seed = o.seed
+		baselinePlan.Seed = chaosSeed
 		baselinePlan.DropProb = plan.DropProb
 		baselinePlan.DetectTimeout = plan.DetectTimeout
 	}
@@ -270,17 +204,15 @@ func chaosWorkload(o chaosOpts) error {
 		Scenario:             o.scenario,
 		Transport:            o.transport,
 		Codec:                o.codec,
-		Seed:                 o.seed,
-		Learners:             o.learners,
-		GlobalBatch:          globalBatch,
-		Steps:                o.steps,
-		KillEvery:            o.killEvery,
-		Rejoin:               o.rejoin,
-		Spares:               o.spares,
+		Seed:                 chaosSeed,
+		Learners:             chaosLearners,
+		GlobalBatch:          chaosGlobalBatch,
+		Steps:                chaosSteps,
+		KillEvery:            chaosKillEvery,
+		Rejoin:               rejoin,
 		DetectTimeoutSec:     plan.DetectTimeout.Seconds(),
-		HeartbeatIntervalSec: o.heartbeatInterval.Seconds(),
-		SuspectAfterSec:      o.suspectAfter.Seconds(),
-		Tolerance:            o.tolerance,
+		HeartbeatIntervalSec: chaosHeartbeat.Seconds(),
+		Tolerance:            chaosTolerance,
 		Incarnations:         chaos.Incarnations,
 		Events:               chaos.Events,
 		EventsByKind:         map[string]int{},
@@ -304,7 +236,7 @@ func chaosWorkload(o chaosOpts) error {
 	sort.Float64s(recoveries)
 	rep.RecoveryP50Sec = percentile(recoveries, 50)
 	rep.RecoveryP99Sec = percentile(recoveries, 99)
-	for s := lastResync; s < o.steps && s < len(chaos.Losses) && s < len(baseline.Losses); s++ {
+	for s := lastResync; s < chaosSteps && s < len(chaos.Losses) && s < len(baseline.Losses); s++ {
 		rep.PostResync = append(rep.PostResync, chaosStep{
 			Step:     s,
 			Loss:     chaos.Losses[s],
@@ -314,10 +246,10 @@ func chaosWorkload(o chaosOpts) error {
 	}
 	rep.BaselineFinalLoss = baseline.FinalLoss
 	rep.FinalLossDeltaRel = math.Abs(chaos.FinalLoss-baseline.FinalLoss) / math.Abs(baseline.FinalLoss)
-	rep.Passed = rep.FinalLossDeltaRel <= o.tolerance
+	rep.Passed = rep.FinalLossDeltaRel <= chaosTolerance
 
 	fmt.Printf("chaos workload: scenario=%s transport=%s codec=%s seed=%d learners=%d steps=%d kill-every=%d rejoin=%v spares=%d batch=%d\n",
-		o.scenario, o.transport, o.codec, o.seed, o.learners, o.steps, o.killEvery, o.rejoin, o.spares, globalBatch)
+		rep.Scenario, rep.Transport, rep.Codec, rep.Seed, rep.Learners, rep.Steps, rep.KillEvery, rep.Rejoin, rep.Spares, rep.GlobalBatch)
 	for _, ev := range chaos.Events {
 		fmt.Printf("  %-6s identity %d at step %2d: world %d→%d, resumed at step %d (%d steps lost, recovery %.3fs)\n",
 			ev.Kind, ev.Identity, ev.Step, ev.OldWorld, ev.NewWorld, ev.ResumeStep, ev.StepsLost, ev.RecoverySec)
@@ -332,7 +264,7 @@ func chaosWorkload(o chaosOpts) error {
 	}
 	if !rep.Passed {
 		return fmt.Errorf("benchtool: chaos run drifted %.4f (relative) from the failure-free loss, tolerance %.4f",
-			rep.FinalLossDeltaRel, o.tolerance)
+			rep.FinalLossDeltaRel, chaosTolerance)
 	}
 	return nil
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -41,7 +39,7 @@ type gemmResult struct {
 	IterationsRun      int     `json:"iterations"`
 }
 
-// kernelsReport is the JSON schema of the -kernels workload; BENCH_kernels.json
+// kernelsReport is the JSON schema of the kernels workload; BENCH_kernels.json
 // at the repo root is one of these, and CI gates on it. Throughput numbers are
 // all higher-is-better, which is what the baseline check assumes.
 type kernelsReport struct {
@@ -98,12 +96,12 @@ func timeIt(fn func()) (secs float64, iters int) {
 
 // kernelsWorkload measures compute-kernel throughput: GEMM GFLOP/s at
 // representative shapes, conv forward+backward step time at one worker vs
-// the full pool, and codec encode/decode/fused-accumulate bandwidth. When
-// baselinePath is set, the run fails if any throughput falls below
-// baseline/maxRegress — the CI gate (BENCH_kernels.json). The conv speedup
-// itself is enforced only on machines with >= 4 CPUs, where the >= 2x
-// parallel win is actually available.
-func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
+// the full pool, and codec encode/decode/fused-accumulate bandwidth. The run
+// fails if any throughput falls below baseline/maxRegress against the
+// committed BENCH_kernels.json — the CI gate — unless -update rewrites that
+// baseline. The conv speedup itself is enforced only on machines with >= 4
+// CPUs, where the >= 2x parallel win is actually available.
+func kernelsWorkload(o options) error {
 	rep := kernelsReport{
 		Workload:   "kernels",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -230,7 +228,39 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 	fmt.Printf("  f16: encode %.2f GB/s, decode+add %.2f GB/s; bf16: encode %.2f GB/s, decode+add %.2f GB/s\n",
 		rep.F16EncodeGBs, rep.F16DecodeAddGBs, rep.BF16EncodeGBs, rep.BF16DecodeAddGBs)
 
-	if err := writeReport(jsonPath, "BENCH_kernels.*.json", rep); err != nil {
+	err := baselineGate(o, "BENCH_kernels.json", "BENCH_kernels.*.json", &rep, func(base *kernelsReport) []check {
+		var checks []check
+		for i, g := range rep.Gemm {
+			if i >= len(base.Gemm) {
+				break
+			}
+			bg := base.Gemm[i]
+			if g.Gate != "packed_over_stream" {
+				checks = append(checks, check{fmt.Sprintf("gemm[%d] %s GFLOP/s", i, g.Role), g.GFLOPSPool, bg.GFLOPSPool, true})
+				continue
+			}
+			if !rep.PackedKernels || !base.PackedKernels {
+				fmt.Printf("  gemm[%d] %s: packed/stream not gated (packed kernels: run %v, baseline %v)\n",
+					i, g.Role, rep.PackedKernels, base.PackedKernels)
+				continue
+			}
+			checks = append(checks, check{fmt.Sprintf("gemm[%d] %s packed/stream", i, g.Role),
+				g.GFLOPSPackedSerial / g.GFLOPSSerial, bg.GFLOPSPackedSerial / bg.GFLOPSSerial, true})
+		}
+		return append(checks,
+			check{"conv images/s", rep.ConvThroughputIS, base.ConvThroughputIS, true},
+			check{"int8 encode GB/s", rep.Int8EncodeGBs, base.Int8EncodeGBs, true},
+			check{"int8 decode GB/s", rep.Int8DecodeGBs, base.Int8DecodeGBs, true},
+			check{"int8 decode+add GB/s", rep.Int8DecodeAddGBs, base.Int8DecodeAddGBs, true},
+			check{"identity decode+add GB/s", rep.IdentityAddGBs, base.IdentityAddGBs, true},
+			check{"topk encode GB/s", rep.TopKEncodeGBs, base.TopKEncodeGBs, true},
+			check{"f16 encode GB/s", rep.F16EncodeGBs, base.F16EncodeGBs, true},
+			check{"f16 decode+add GB/s", rep.F16DecodeAddGBs, base.F16DecodeAddGBs, true},
+			check{"bf16 encode GB/s", rep.BF16EncodeGBs, base.BF16EncodeGBs, true},
+			check{"bf16 decode+add GB/s", rep.BF16DecodeAddGBs, base.BF16DecodeAddGBs, true},
+		)
+	})
+	if err != nil {
 		return err
 	}
 
@@ -244,65 +274,6 @@ func kernelsWorkload(jsonPath, baselinePath string, maxRegress float64) error {
 		if g := rep.Gemm[0]; g.ParallelGain < 2 {
 			return fmt.Errorf("benchtool: gemm %dx%dx%d pool gain %.2fx over streaming serial at %d procs, want >= 2x",
 				g.M, g.NDim, g.KDim, g.ParallelGain, rep.GOMAXPROCS)
-		}
-	}
-
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			return fmt.Errorf("benchtool: reading kernels baseline: %w", err)
-		}
-		var base kernelsReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("benchtool: parsing kernels baseline %s: %w", baselinePath, err)
-		}
-		check := func(name string, got, want float64) error {
-			if want > 0 && got < want/maxRegress {
-				return fmt.Errorf("benchtool: %s regressed: %.2f vs baseline %.2f (limit %.1fx)",
-					name, got, want, maxRegress)
-			}
-			fmt.Printf("  %-24s %8.2f within %.1fx of baseline %.2f\n", name, got, maxRegress, want)
-			return nil
-		}
-		for i, g := range rep.Gemm {
-			if i >= len(base.Gemm) {
-				break
-			}
-			bg := base.Gemm[i]
-			if g.Gate != "packed_over_stream" {
-				if err := check(fmt.Sprintf("gemm[%d] %s GFLOP/s", i, g.Role), g.GFLOPSPool, bg.GFLOPSPool); err != nil {
-					return err
-				}
-				continue
-			}
-			if !rep.PackedKernels || !base.PackedKernels {
-				fmt.Printf("  gemm[%d] %s: packed/stream not gated (packed kernels: run %v, baseline %v)\n",
-					i, g.Role, rep.PackedKernels, base.PackedKernels)
-				continue
-			}
-			if err := check(fmt.Sprintf("gemm[%d] %s packed/stream", i, g.Role),
-				g.GFLOPSPackedSerial/g.GFLOPSSerial, bg.GFLOPSPackedSerial/bg.GFLOPSSerial); err != nil {
-				return err
-			}
-		}
-		for _, m := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"conv images/s", rep.ConvThroughputIS, base.ConvThroughputIS},
-			{"int8 encode GB/s", rep.Int8EncodeGBs, base.Int8EncodeGBs},
-			{"int8 decode GB/s", rep.Int8DecodeGBs, base.Int8DecodeGBs},
-			{"int8 decode+add GB/s", rep.Int8DecodeAddGBs, base.Int8DecodeAddGBs},
-			{"identity decode+add GB/s", rep.IdentityAddGBs, base.IdentityAddGBs},
-			{"topk encode GB/s", rep.TopKEncodeGBs, base.TopKEncodeGBs},
-			{"f16 encode GB/s", rep.F16EncodeGBs, base.F16EncodeGBs},
-			{"f16 decode+add GB/s", rep.F16DecodeAddGBs, base.F16DecodeAddGBs},
-			{"bf16 encode GB/s", rep.BF16EncodeGBs, base.BF16EncodeGBs},
-			{"bf16 decode+add GB/s", rep.BF16DecodeAddGBs, base.BF16DecodeAddGBs},
-		} {
-			if err := check(m.name, m.got, m.want); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -1,29 +1,40 @@
-// benchtool regenerates any table or figure of the paper's evaluation from
-// the calibrated cluster model. Each experiment prints the same rows/series
-// the paper reports. With -compress it instead runs a real (in-process)
-// training workload through the bucketed compressed allreduce and reports
-// wire bytes moved and final loss, for codec trade-off comparisons.
+// benchtool regenerates the paper's evaluation and runs the measured
+// workloads behind each optimisation. The form is
 //
-// With -overlap it runs the reactive-pipeline workload on a latency-injected
-// cluster — phased vs overlapped schedules of the same training job — and
-// reports compute time, comm time and overlap efficiency, optionally as a
-// JSON report (-json).
+//	benchtool <name> [flags]
 //
-//	benchtool -exp table1
-//	benchtool -exp fig5 -nodes 16
-//	benchtool -exp all
-//	benchtool -compress=int8      # vs: benchtool -compress=none
-//	benchtool -overlap -steps 16 -json overlap.json
+// where name is a paper id (fig5…fig16, table1, table2, or all), which
+// prints the same rows/series the paper reports from the calibrated cluster
+// model, or a workload:
+//
+//	compress       real in-process training through the bucketed compressed
+//	               allreduce: wire bytes moved and final loss per codec
+//	overlap        phased vs reactive-pipeline schedules of one job
+//	shard          replicated vs ZeRO-1 sharded optimizer state
+//	hier           flat vs topology-routed exchange on an asymmetric fabric
+//	allocs         allocations per step, gated against BENCH_alloc.json
+//	kernels        GEMM/conv/codec throughput, gated against BENCH_kernels.json
+//	chaos          elastic recovery under a fault scenario
+//	sim            discrete-event collective simulator sweep
+//	sim-calibrate  simulator calibration gate against live runs
+//
+// The flags are -codec (wire format, default none), -json (report path),
+// -update (allocs/kernels: rewrite the committed baseline instead of gating
+// against it), and -scenario/-transport (chaos). Every other value is a
+// constant inside its workload and recorded in the report.
+//
+//	benchtool table1
+//	benchtool all
+//	benchtool compress -codec int8      # vs: benchtool compress -codec none
+//	benchtool overlap -json overlap.json
+//	benchtool chaos -scenario kill-restore -transport tcp
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"runtime"
-	"strings"
-	"time"
 
 	"repro/internal/allreduce"
 	"repro/internal/compress"
@@ -33,185 +44,170 @@ import (
 	"repro/internal/simcluster"
 )
 
+// options carries the five command-line flags to a subcommand.
+type options struct {
+	codec     string
+	jsonPath  string
+	update    bool
+	scenario  string
+	transport string
+}
+
+// command is one entry of the subcommand table.
+type command struct {
+	name string
+	run  func(o options) error
+}
+
+// paperIDs are the paper's figures and tables, in the order `all` prints
+// them.
+var paperIDs = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+	"fig13", "fig14", "fig15", "fig16", "table1", "table2"}
+
+// commands is the subcommand table: the paper ids, `all`, then the
+// workloads.
+func commands() []command {
+	var cmds []command
+	for _, id := range paperIDs {
+		id := id
+		cmds = append(cmds, command{id, func(options) error { return paper(id) }})
+	}
+	return append(cmds,
+		command{"all", func(options) error { return paper(paperIDs...) }},
+		command{"compress", compressWorkload},
+		command{"overlap", overlapWorkload},
+		command{"allocs", allocsWorkload},
+		command{"kernels", kernelsWorkload},
+		command{"shard", shardWorkload},
+		command{"hier", hierWorkload},
+		command{"chaos", chaosWorkload},
+		command{"sim", simWorkload},
+		command{"sim-calibrate", simCalibrateWorkload},
+	)
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig5..fig16, table1, table2, or all")
-	nodes := flag.Int("nodes", 16, "node count for fig5")
-	plot := flag.Bool("plot", false, "render figs 13-16 as ASCII charts instead of tables")
-	compressAlg := flag.String("compress", "", "run the compression workload with this codec (none|int8|topk|f16|bf16) instead of the paper experiments; also selects the wire format for the overlap/allocs/hier/shard/chaos workloads")
-	topkRatio := flag.Float64("topk-ratio", 0.1, "kept fraction per bucket for -compress=topk")
-	learners := flag.Int("learners", 4, "learner count for the compression/overlap workloads")
-	steps := flag.Int("steps", 60, "steps for the compression/overlap workloads")
-	overlap := flag.Bool("overlap", false, "run the reactive-pipeline overlap workload (phased vs overlapped schedules)")
-	devices := flag.Int("devices", 2, "devices per learner for the overlap workload")
-	jsonPath := flag.String("json", "", "write the workload report (overlap/allocs/shard/hier/chaos/kernels) to this JSON file instead of a temp path")
-	allocs := flag.Bool("allocs", false, "run the allocation-profile workload (allocs/op, bytes/op, GC pauses per step)")
-	shard := flag.Bool("shard", false, "run the ZeRO-1 sharded-optimizer workload (replicated vs sharded: per-rank optimizer-state bytes, step time, bitwise equivalence)")
-	allocsBaseline := flag.String("allocs-baseline", "", "compare the -allocs run against this committed baseline JSON and fail on regression")
-	allocsMaxRegress := flag.Float64("allocs-max-regress", 2.0, "allowed allocs/op growth factor vs the -allocs-baseline")
-	allocsUpdate := flag.Bool("allocs-baseline-update", false, "write the -allocs report over the committed BENCH_alloc.json baseline (without it, a run with no -json writes to a temp path instead of littering the tree)")
-	hier := flag.Bool("hier", false, "run the topology-aware hierarchical-collectives workload (flat vs hierarchical routing on an asymmetric fast-intra/slow-inter fabric: step time, slow-link bytes, bitwise equivalence)")
-	hierNodes := flag.Int("hier-nodes", 2, "simulated node count for the -hier workload")
-	hierRanks := flag.Int("hier-ranks", 4, "learner ranks per node for the -hier workload")
-	chaos := flag.Bool("chaos", false, "run the elastic fault-tolerance workload (kill a rank every -chaos-kill-every steps, recover by resizing, compare the loss trajectory against a failure-free run)")
-	chaosKillEvery := flag.Int("chaos-kill-every", 5, "steps between rank kills for the -chaos workload")
-	chaosRejoin := flag.Bool("chaos-rejoin", true, "rejoin each killed rank two steps after its crash, exercising world growth as well as shrinkage")
-	chaosTolerance := flag.Float64("chaos-tolerance", 0.1, "allowed relative final-loss drift vs the failure-free baseline before -chaos exits nonzero")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed for the -chaos workload (equal seeds reproduce the run bit for bit)")
-	chaosScenario := flag.String("chaos-scenario", "kill", "fault scenario for -chaos: kill (plain crashes), kill-negotiation (a second victim dies inside the membership negotiation), kill-restore (a second victim dies after applying the restored checkpoint), or netsplit (crashes under seeded message loss, mailbox only)")
-	chaosTransport := flag.String("chaos-transport", "mem", "fabric for the -chaos workload: mem (in-process mailboxes) or tcp (real loopback sockets)")
-	spares := flag.Int("spares", 0, "standby identities for -chaos: up to this many victims are backfilled by spare-pool admission instead of rejoining")
-	heartbeatInterval := flag.Duration("heartbeat-interval", 50*time.Millisecond, "heartbeat send period for the -chaos failure monitor")
-	suspectAfter := flag.Duration("suspect-after", 0, "heartbeat silence before a peer is suspected dead in -chaos (0: match the 2s receive detect timeout)")
-	sim := flag.Bool("sim", false, "run the discrete-event collective simulator sweep (predicted step time, per-link traffic, congestion hot spots over scales × collectives × codecs)")
-	simNodes := flag.Int("sim-nodes", 64, "largest node count for the -sim sweep")
-	simRanks := flag.Int("sim-ranks", 8, "ranks per node for the -sim sweep")
-	simGrad := flag.Int("sim-grad", 1<<20, "gradient vector length in float32 elements for the -sim sweep")
-	simBucket := flag.Int("sim-bucket", 16384, "bucket size in float32 elements for the -sim sweep")
-	simCodecs := flag.String("sim-codecs", "none,int8,topk", "comma-separated codecs for the -sim sweep's compressed collectives")
-	simSeed := flag.Uint64("sim-seed", 1, "jitter seed for the -sim sweep (equal seeds reproduce runs bit for bit)")
-	simOverhead := flag.Duration("sim-overhead", 0, "per-message host overhead for the -sim sweep (0 = pure link model; take the fitted value from -sim-calibrate)")
-	simCalibrate := flag.Bool("sim-calibrate", false, "run the simulator calibration gate: live 2×4 runs per collective, exact byte-count check, step-time MAPE gate")
-	simMAPEMax := flag.Float64("sim-mape-max", 0.15, "allowed predicted-vs-measured step-time MAPE for -sim-calibrate")
-	kernelsBench := flag.Bool("kernels", false, "run the compute-kernels throughput workload (GEMM GFLOP/s, conv step time, codec GB/s)")
-	kernelsBaseline := flag.String("kernels-baseline", "", "compare the -kernels run against this committed baseline JSON and fail on regression")
-	kernelsMaxRegress := flag.Float64("kernels-max-regress", 2.0, "allowed throughput shrink factor vs the -kernels-baseline")
-	kernelsUpdate := flag.Bool("kernels-baseline-update", false, "write the -kernels report over the committed BENCH_kernels.json baseline (without it, a run with no -json writes to a temp path instead of littering the tree)")
-	procs := flag.Int("procs", 0, "pin GOMAXPROCS (and the kernels pool width) for the overlap/kernels workloads; 0 keeps the runtime default")
-	flag.Parse()
+	os.Exit(dispatch(os.Args[1:], os.Stderr))
+}
 
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
+// dispatch runs the subcommand named by args[0] with the flags in args[1:]
+// and returns the exit status: 2 (after printing the table to w) for an
+// unknown or missing name or bad flags, 1 if the subcommand fails.
+func dispatch(args []string, w io.Writer) int {
+	var cmd *command
+	cmds := commands()
+	for i := range cmds {
+		if len(args) > 0 && cmds[i].name == args[0] {
+			cmd = &cmds[i]
+		}
 	}
+	if cmd == nil {
+		fmt.Fprintln(w, "usage: benchtool <name> [-codec c] [-json path] [-update] [-scenario s] [-transport t]")
+		fmt.Fprint(w, "names:")
+		for _, c := range cmds {
+			fmt.Fprint(w, " ", c.name)
+		}
+		fmt.Fprintln(w)
+		return 2
+	}
+	fs := flag.NewFlagSet("benchtool "+cmd.name, flag.ContinueOnError)
+	fs.SetOutput(w)
+	var o options
+	fs.StringVar(&o.codec, "codec", "none", "gradient wire format: none, int8, topk, f16 or bf16")
+	fs.StringVar(&o.jsonPath, "json", "", "write the workload report here instead of a temp path")
+	fs.BoolVar(&o.update, "update", false, "allocs/kernels: write the report over the committed baseline instead of gating against it")
+	fs.StringVar(&o.scenario, "scenario", "kill", "chaos fault scenario: kill, kill-negotiation, kill-restore or netsplit")
+	fs.StringVar(&o.transport, "transport", "mem", "chaos fabric: mem (in-process mailboxes) or tcp (loopback sockets)")
+	if err := fs.Parse(args[1:]); err != nil {
+		return 2
+	}
+	if o.update && o.jsonPath != "" {
+		fmt.Fprintln(w, "benchtool: -json conflicts with -update, which writes the committed baseline")
+		return 2
+	}
+	if err := cmd.run(o); err != nil {
+		fmt.Fprintln(w, err)
+		return 1
+	}
+	return 0
+}
 
-	if *simCalibrate {
-		if err := simCalibrateWorkload(*topkRatio, *simMAPEMax, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *sim {
-		if err := simWorkload(*simNodes, *simRanks, *simGrad, *simBucket, *simCodecs, *topkRatio, *simSeed, *simOverhead, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+// topkRatio is the kept fraction per bucket whenever a workload runs topk.
+const topkRatio = 0.1
 
-	if *kernelsBench {
-		path := *jsonPath
-		if *kernelsUpdate {
-			if path != "" {
-				log.Fatal("benchtool: -json conflicts with -kernels-baseline-update (the update writes BENCH_kernels.json); pass one or the other")
-			}
-			path = "BENCH_kernels.json"
-		}
-		if err := kernelsWorkload(path, *kernelsBaseline, *kernelsMaxRegress); err != nil {
-			log.Fatal(err)
-		}
-		return
+// codecConfig is the wire format every training workload uses: the chosen
+// codec, with error feedback for topk (the only codec that drops mass).
+func codecConfig(codec string, bucketFloats int) compress.Config {
+	return compress.Config{
+		Codec:         codec,
+		TopKRatio:     topkRatio,
+		ErrorFeedback: codec == "topk",
+		BucketFloats:  bucketFloats,
 	}
+}
 
-	if *chaos {
-		err := chaosWorkload(chaosOpts{
-			seed:              *chaosSeed,
-			learners:          *learners,
-			steps:             *steps,
-			killEvery:         *chaosKillEvery,
-			rejoin:            *chaosRejoin,
-			scenario:          *chaosScenario,
-			transport:         *chaosTransport,
-			codec:             *compressAlg,
-			topkRatio:         *topkRatio,
-			spares:            *spares,
-			heartbeatInterval: *heartbeatInterval,
-			suspectAfter:      *suspectAfter,
-			tolerance:         *chaosTolerance,
-			jsonPath:          *jsonPath,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *allocs {
-		path := *jsonPath
-		if *allocsUpdate {
-			if path != "" {
-				log.Fatal("benchtool: -json conflicts with -allocs-baseline-update (the update writes BENCH_alloc.json); pass one or the other")
-			}
-			path = "BENCH_alloc.json"
-		}
-		if err := allocsWorkload(*compressAlg, *topkRatio, *learners, *devices, *steps, path, *allocsBaseline, *allocsMaxRegress); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *hier {
-		if err := hierWorkload(*compressAlg, *topkRatio, *hierNodes, *hierRanks, *devices, *steps, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *shard {
-		if err := shardWorkload(*compressAlg, *topkRatio, *learners, *devices, *steps, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *overlap {
-		if err := overlapWorkload(*compressAlg, *topkRatio, *learners, *devices, *steps, *jsonPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *compressAlg != "" {
-		if err := compressWorkload(*compressAlg, *topkRatio, *learners, *steps); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
+// paper prints the given figures and tables from the calibrated model.
+func paper(ids ...string) error {
 	c := simcluster.New(64, simcluster.DefaultParams())
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-			"fig13", "fig14", "fig15", "fig16", "table1", "table2"}
-	}
+	counts := []int{8, 16, 32}
 	for _, id := range ids {
-		if *plot {
-			if chart, ok, err := plotCurve(c, id); err != nil {
-				log.Fatalf("%s: %v", id, err)
-			} else if ok {
-				fmt.Println(chart)
-				continue
-			}
+		var tbl *simcluster.Table
+		var err error
+		switch id {
+		case "fig5":
+			_, tbl, err = c.Fig5(16, []float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
+		case "fig6":
+			_, _, tbl, err = c.Fig6(counts)
+		case "fig7":
+			_, tbl, err = c.FigShuffle(simcluster.ImageNet22k, counts)
+		case "fig8":
+			_, tbl, err = c.FigShuffle(simcluster.ImageNet1k, counts)
+		case "fig9":
+			_, tbl, err = c.Fig9([]int{1, 4, 8, 16})
+		case "fig10":
+			_, tbl, err = c.FigDIMD(simcluster.ImageNet1k, counts)
+		case "fig11":
+			_, tbl, err = c.FigDIMD(simcluster.ImageNet22k, counts)
+		case "fig12":
+			_, tbl, err = c.Fig12(counts)
+		case "fig13":
+			tbl, err = c.FigCurve(simcluster.ResNet50, false, counts)
+		case "fig14":
+			tbl, err = c.FigCurve(simcluster.GoogLeNetBN, false, counts)
+		case "fig15":
+			tbl, err = c.FigCurve(simcluster.ResNet50, true, counts)
+		case "fig16":
+			tbl, err = c.FigCurve(simcluster.GoogLeNetBN, true, counts)
+		case "table1":
+			_, tbl, err = c.Table1(counts)
+		case "table2":
+			_, tbl, err = c.Table2()
 		}
-		tbl, err := run(c, id, *nodes)
 		if err != nil {
-			log.Fatalf("%s: %v", id, err)
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Println(tbl)
 	}
+	return nil
 }
 
 // compressWorkload trains a fixed synthetic workload through the bucketed
 // compressed allreduce and prints the codec's bytes-moved/accuracy trade-off.
 // Every parameter except the codec is held constant (fixed seeds, slice-
-// dealt batches), so runs with different -compress values are directly
+// dealt batches), so runs with different -codec values are directly
 // comparable: same data, same model, same schedule.
-func compressWorkload(codec string, topkRatio float64, learners, steps int) error {
+func compressWorkload(o options) error {
+	const learners, steps = 4, 60
 	const classes, size, images, globalBatch = 3, 8, 24, 12
-	if learners <= 0 || globalBatch%learners != 0 {
-		return fmt.Errorf("benchtool: -learners must divide the fixed global batch %d (got %d) so runs stay comparable", globalBatch, learners)
-	}
 	dataX, dataLabels := core.SyntheticTensorData(images, classes, size, 23)
-	newReplica := func(seed int64) nn.Layer {
-		return core.SmallBNFreeCNN(classes, size, 500+seed)
-	}
+	wire := codecConfig(o.codec, 2048)
+	wire.ErrorFeedback = true
 	res, err := core.RunCluster(core.ClusterConfig{
 		Learners:       learners,
 		DevicesPerNode: 1,
-		NewReplica:     newReplica,
+		NewReplica: func(seed int64) nn.Layer {
+			return core.SmallBNFreeCNN(classes, size, 500+seed)
+		},
 		NewSource: func(rank int) core.BatchSource {
 			return &core.SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
 		},
@@ -222,101 +218,24 @@ func compressWorkload(codec string, topkRatio float64, learners, steps int) erro
 			Allreduce:      allreduce.AlgMultiColor,
 			Schedule:       sgd.Const(0.1),
 			SGD:            sgd.DefaultConfig(),
-			Compression: compress.Config{
-				Codec:         codec,
-				TopKRatio:     topkRatio,
-				ErrorFeedback: true,
-				BucketFloats:  2048,
-			},
+			Compression:    wire,
 		},
 	})
 	if err != nil {
 		return err
 	}
 	losses := res.Losses[0]
-	tail := 5
-	if tail > len(losses) {
-		tail = len(losses)
-	}
+	const tail = 5
 	var finalLoss float64
 	for _, l := range losses[len(losses)-tail:] {
 		finalLoss += l
 	}
-	finalLoss /= float64(tail)
+	finalLoss /= tail
 	cs := res.CommStats[0]
 	moved := cs.BytesSent + cs.BytesRecv
-	fmt.Printf("compressed-allreduce workload: codec=%s learners=%d steps=%d model=bnfree-cnn\n", codec, learners, steps)
+	fmt.Printf("compressed-allreduce workload: codec=%s learners=%d steps=%d model=bnfree-cnn\n", o.codec, learners, steps)
 	fmt.Printf("  BytesMoved: %d (allreduce wire bytes, rank 0, send+recv)\n", moved)
 	fmt.Printf("  raw equivalent: %d bytes (compression ratio %.2fx)\n", 2*cs.RawBytes, cs.Ratio())
 	fmt.Printf("  final loss: %.6f (mean of last %d steps; first step %.6f)\n", finalLoss, tail, losses[0])
 	return nil
-}
-
-// plotCurve renders figs 13-16 as ASCII charts; ok is false for other ids.
-func plotCurve(c *simcluster.Cluster, id string) (string, bool, error) {
-	counts := []int{8, 16, 32}
-	var m simcluster.Model
-	var errCurve bool
-	switch strings.ToLower(id) {
-	case "fig13":
-		m, errCurve = simcluster.ResNet50, false
-	case "fig14":
-		m, errCurve = simcluster.GoogLeNetBN, false
-	case "fig15":
-		m, errCurve = simcluster.ResNet50, true
-	case "fig16":
-		m, errCurve = simcluster.GoogLeNetBN, true
-	default:
-		return "", false, nil
-	}
-	chart, err := c.PlotFigure(m, errCurve, counts, 72, 18)
-	return chart, true, err
-}
-
-func run(c *simcluster.Cluster, id string, fig5Nodes int) (*simcluster.Table, error) {
-	counts := []int{8, 16, 32}
-	switch strings.ToLower(id) {
-	case "fig5":
-		_, tbl, err := c.Fig5(fig5Nodes, []float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
-		return tbl, err
-	case "fig6":
-		_, _, tbl, err := c.Fig6(counts)
-		return tbl, err
-	case "fig7":
-		_, tbl, err := c.FigShuffle(simcluster.ImageNet22k, counts)
-		return tbl, err
-	case "fig8":
-		_, tbl, err := c.FigShuffle(simcluster.ImageNet1k, counts)
-		return tbl, err
-	case "fig9":
-		_, tbl, err := c.Fig9([]int{1, 4, 8, 16})
-		return tbl, err
-	case "fig10":
-		_, tbl, err := c.FigDIMD(simcluster.ImageNet1k, counts)
-		return tbl, err
-	case "fig11":
-		_, tbl, err := c.FigDIMD(simcluster.ImageNet22k, counts)
-		return tbl, err
-	case "fig12":
-		_, tbl, err := c.Fig12(counts)
-		return tbl, err
-	case "fig13":
-		return c.FigCurve(simcluster.ResNet50, false, counts)
-	case "fig14":
-		return c.FigCurve(simcluster.GoogLeNetBN, false, counts)
-	case "fig15":
-		return c.FigCurve(simcluster.ResNet50, true, counts)
-	case "fig16":
-		return c.FigCurve(simcluster.GoogLeNetBN, true, counts)
-	case "table1":
-		_, tbl, err := c.Table1(counts)
-		return tbl, err
-	case "table2":
-		_, tbl, err := c.Table2()
-		return tbl, err
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-		os.Exit(2)
-		return nil, nil
-	}
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -105,8 +103,8 @@ func measureEncodeParallel(c compress.Codec) (serialGBs, poolGBs float64) {
 // charges real wall time per byte through one egress NIC per node, so the
 // only way the overlapped run can be faster is by genuinely hiding
 // communication under backward compute.
-func overlapWorkload(codec string, topkRatio float64, learners, devices, steps int, jsonPath string) error {
-	const classes, size, batchPerDevice = 8, 24, 32
+func overlapWorkload(o options) error {
+	const learners, devices, steps = 2, 1, 10
 	const bucketFloats = 1024
 	// Latency-dominated link with per-bucket cost at the scale of the Go
 	// scheduler's async-preemption slice (~10 ms): even on a single-core
@@ -115,98 +113,64 @@ func overlapWorkload(codec string, topkRatio float64, learners, devices, steps i
 	// time still hides under backward compute. On multi-core runners the
 	// overlap is correspondingly larger.
 	link := mpi.LinkProfile{Latency: 8 * time.Millisecond, BytesPerSec: 64 << 20}
-	images := batchPerDevice * devices * learners
-	if codec == "" {
-		codec = "none"
+	p := abPair{
+		names:    [2]string{"phased", "overlapped"},
+		learners: learners, devices: devices, steps: steps,
+		classes: 8, size: 24, batchPerDevice: 32,
+		codec: o.codec, bucketFloats: bucketFloats,
+		newModel: func(seed int64) nn.Layer { return core.OverlapBenchModel(8, 24, 900+seed) },
+		learner: core.Config{
+			Allreduce:       allreduce.AlgMultiColor,
+			Schedule:        sgd.Const(0.05),
+			SGD:             sgd.DefaultConfig(),
+			OverlapInFlight: 16,
+		},
+		newWorld: func(n int) *mpi.World { return mpi.NewLatencyWorld(n, link) },
+		vary:     func(c *core.Config) { c.Overlap = true },
 	}
-	dataX, dataLabels := core.SyntheticTensorData(images, classes, size, 23)
-
-	run := func(overlap bool) (*core.ClusterResult, time.Duration, error) {
-		start := time.Now()
-		res, err := core.RunCluster(core.ClusterConfig{
-			Learners:       learners,
-			DevicesPerNode: devices,
-			NewReplica:     func(seed int64) nn.Layer { return core.OverlapBenchModel(classes, size, 900+seed) },
-			NewSource: func(rank int) core.BatchSource {
-				return &core.SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
-			},
-			Steps:  steps,
-			InputC: 3, InputH: size, InputW: size,
-			NewWorld: func(n int) *mpi.World { return mpi.NewLatencyWorld(n, link) },
-			Learner: core.Config{
-				BatchPerDevice: batchPerDevice,
-				Allreduce:      allreduce.AlgMultiColor,
-				Schedule:       sgd.Const(0.05),
-				SGD:            sgd.DefaultConfig(),
-				Compression: compress.Config{
-					Codec:         codec,
-					TopKRatio:     topkRatio,
-					ErrorFeedback: codec == "topk",
-					BucketFloats:  bucketFloats,
-				},
-				Overlap:         overlap,
-				OverlapInFlight: 16,
-			},
-		})
-		return res, time.Since(start), err
+	phased, overlapped, err := runPair(p)
+	if err != nil {
+		return err
 	}
 
-	summarize := func(res *core.ClusterResult, wall time.Duration) overlapRun {
-		ph := res.Phases[0]
+	summarize := func(r abRun) overlapRun {
+		ph := r.Phases[0]
 		s := float64(steps)
-		r := overlapRun{
-			WallSeconds:      wall.Seconds(),
-			StepSeconds:      wall.Seconds() / s,
+		sum := overlapRun{
+			WallSeconds:      r.wall.Seconds(),
+			StepSeconds:      r.wall.Seconds() / s,
 			DataSeconds:      ph.Data / s,
 			ComputeSeconds:   ph.Compute / s,
 			IntraNodeSeconds: ph.IntraNode / s,
 			AllReduceSeconds: ph.AllReduce / s,
 			UpdateSeconds:    ph.Update / s,
 		}
-		for rank, cs := range res.CommStats {
-			r.PerRank = append(r.PerRank, overlapRank{
+		for rank, cs := range r.CommStats {
+			sum.PerRank = append(sum.PerRank, overlapRank{
 				Rank:           rank,
 				AllReduceBytes: cs.BytesSent + cs.BytesRecv,
 				BytesSent:      cs.BytesSent,
 				BytesRecv:      cs.BytesRecv,
 			})
 		}
-		return r
-	}
-
-	phasedRes, phasedWall, err := run(false)
-	if err != nil {
-		return fmt.Errorf("benchtool: phased run: %w", err)
-	}
-	overlapRes, overlapWall, err := run(true)
-	if err != nil {
-		return fmt.Errorf("benchtool: overlapped run: %w", err)
-	}
-
-	identical := true
-	for r := range phasedRes.FinalWeights {
-		for i := range phasedRes.FinalWeights[r] {
-			if phasedRes.FinalWeights[r][i] != overlapRes.FinalWeights[r][i] {
-				identical = false
-			}
-		}
+		return sum
 	}
 
 	rep := overlapReport{
 		Workload:          "overlap",
-		Codec:             codec,
+		Codec:             o.codec,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		NumCPU:            runtime.NumCPU(),
 		Learners:          learners,
 		DevicesPerNode:    devices,
 		Steps:             steps,
 		BucketFloats:      bucketFloats,
-		GradFloats:        len(phasedRes.FinalWeights[0]),
+		GradFloats:        len(phased.FinalWeights[0]),
 		LinkLatencyMicros: float64(link.Latency) / float64(time.Microsecond),
 		LinkBytesPerSec:   link.BytesPerSec,
-		Phased:            summarize(phasedRes, phasedWall),
-		Overlapped:        summarize(overlapRes, overlapWall),
-		BitwiseIdentical:  identical,
+		Phased:            summarize(phased),
+		Overlapped:        summarize(overlapped),
+		BitwiseIdentical:  true,
 	}
 	computeComm := rep.Phased.ComputeSeconds + rep.Phased.AllReduceSeconds
 	if computeComm > 0 {
@@ -218,7 +182,7 @@ func overlapWorkload(codec string, topkRatio float64, learners, devices, steps i
 	if rep.Overlapped.StepSeconds > 0 {
 		rep.Speedup = rep.Phased.StepSeconds / rep.Overlapped.StepSeconds
 	}
-	if c, err := compress.New(compress.Config{Codec: codec, TopKRatio: topkRatio}); err == nil {
+	if c, err := compress.New(codecConfig(o.codec, 0)); err == nil {
 		rep.EncodeSerialGBs, rep.EncodePoolGBs = measureEncodeParallel(c)
 		if rep.EncodeSerialGBs > 0 {
 			rep.EncodeParallelSpeedup = rep.EncodePoolGBs / rep.EncodeSerialGBs
@@ -226,7 +190,7 @@ func overlapWorkload(codec string, topkRatio float64, learners, devices, steps i
 	}
 
 	fmt.Printf("overlap workload: codec=%s learners=%d devices=%d steps=%d grad=%d floats buckets=%d floats\n",
-		codec, learners, devices, steps, rep.GradFloats, bucketFloats)
+		o.codec, learners, devices, steps, rep.GradFloats, bucketFloats)
 	fmt.Printf("  link: %.0f µs latency, %.0f MB/s per-node egress\n",
 		rep.LinkLatencyMicros, link.BytesPerSec/1e6)
 	fmt.Printf("  phased:     %7.2f ms/step (compute %.2f ms + allreduce %.2f ms + rest)\n",
@@ -237,20 +201,9 @@ func overlapWorkload(codec string, topkRatio float64, learners, devices, steps i
 	fmt.Printf("  comm hidden: %.1f%%   speedup: %.2fx   bitwise identical: %v\n",
 		100*rep.CommHiddenFraction, rep.Speedup, rep.BitwiseIdentical)
 	fmt.Printf("  encode (%s, 1M floats): %.2f GB/s serial, %.2f GB/s pool (%.2fx)\n",
-		codec, rep.EncodeSerialGBs, rep.EncodePoolGBs, rep.EncodeParallelSpeedup)
+		o.codec, rep.EncodeSerialGBs, rep.EncodePoolGBs, rep.EncodeParallelSpeedup)
 	for _, pr := range rep.Phased.PerRank {
 		fmt.Printf("  rank %d AllReduceBytes: %d\n", pr.Rank, pr.AllReduceBytes)
 	}
-
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", jsonPath)
-	}
-	return nil
+	return writeReport(o.jsonPath, "BENCH_overlap.*.json", rep)
 }

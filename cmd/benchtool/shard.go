@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/sgd"
@@ -37,7 +35,7 @@ type shardRun struct {
 	PerRank          []shardRank `json:"per_rank"`
 }
 
-// shardReport is the JSON schema of the -shard workload.
+// shardReport is the JSON schema of the shard workload.
 type shardReport struct {
 	Workload       string   `json:"workload"`
 	Codec          string   `json:"codec"`
@@ -67,102 +65,59 @@ type shardReport struct {
 // shardWorkload trains the same parameter-heavy job twice — replicated
 // optimizer state, then ZeRO-1 sharded — and reports per-rank optimizer-
 // state bytes, step time, and the final-weight equivalence check.
-func shardWorkload(codec string, topkRatio float64, learners, devices, steps int, jsonPath string) error {
+func shardWorkload(o options) error {
+	const learners, devices, steps = 4, 1, 10
+	const bucketFloats = 1024
 	// Size 8 flattens to 192 inputs, so ShardBenchModel's first dense layer
 	// matches its hidden layers and the shard layout can balance.
-	const classes, size, batchPerDevice = 8, 8, 8
-	const bucketFloats = 1024
-	if codec == "" {
-		codec = "none"
+	p := abPair{
+		names:    [2]string{"replicated", "sharded"},
+		learners: learners, devices: devices, steps: steps,
+		classes: 8, size: 8, batchPerDevice: 8,
+		codec: o.codec, bucketFloats: bucketFloats,
+		newModel: func(seed int64) nn.Layer { return core.ShardBenchModel(8, 8, 700+seed) },
+		learner:  core.Config{Schedule: sgd.Const(0.05), SGD: sgd.DefaultConfig()},
+		vary:     func(c *core.Config) { c.ShardOptimizer = true },
 	}
-	if learners < 2 {
-		return fmt.Errorf("benchtool: -shard needs at least 2 learners (got %d) to shard anything", learners)
-	}
-	images := batchPerDevice * devices * learners
-	dataX, dataLabels := core.SyntheticTensorData(images, classes, size, 23)
-
-	run := func(shard bool) (*core.ClusterResult, time.Duration, error) {
-		start := time.Now()
-		res, err := core.RunCluster(core.ClusterConfig{
-			Learners:       learners,
-			DevicesPerNode: devices,
-			NewReplica: func(seed int64) nn.Layer {
-				return core.ShardBenchModel(classes, size, 700+seed)
-			},
-			NewSource: func(rank int) core.BatchSource {
-				return &core.SliceSource{X: dataX, Labels: dataLabels, Rank: rank, Ranks: learners}
-			},
-			Steps:  steps,
-			InputC: 3, InputH: size, InputW: size,
-			Learner: core.Config{
-				BatchPerDevice: batchPerDevice,
-				Schedule:       sgd.Const(0.05),
-				SGD:            sgd.DefaultConfig(),
-				Compression: compress.Config{
-					Codec:         codec,
-					TopKRatio:     topkRatio,
-					ErrorFeedback: codec == "topk",
-					BucketFloats:  bucketFloats,
-				},
-				ShardOptimizer: shard,
-			},
-		})
-		return res, time.Since(start), err
+	repl, shard, err := runPair(p)
+	if err != nil {
+		return err
 	}
 
-	summarize := func(res *core.ClusterResult, wall time.Duration) shardRun {
+	summarize := func(r abRun) shardRun {
 		s := float64(steps)
-		r := shardRun{
-			WallSeconds:      wall.Seconds(),
-			StepSeconds:      wall.Seconds() / s,
-			UpdateSeconds:    res.Phases[0].Update / s,
-			AllReduceSeconds: res.Phases[0].AllReduce / s,
+		sum := shardRun{
+			WallSeconds:      r.wall.Seconds(),
+			StepSeconds:      r.wall.Seconds() / s,
+			UpdateSeconds:    r.Phases[0].Update / s,
+			AllReduceSeconds: r.Phases[0].AllReduce / s,
 		}
-		for rank := range res.OptStateBytes {
-			b := res.OptStateBytes[rank]
-			cs := res.CommStats[rank]
-			r.PerRank = append(r.PerRank, shardRank{
+		for rank, b := range r.OptStateBytes {
+			cs := r.CommStats[rank]
+			sum.PerRank = append(sum.PerRank, shardRank{
 				Rank:                rank,
 				OptStateBytes:       b,
 				AllReduceBytes:      cs.BytesSent + cs.BytesRecv,
-				ParamAllGatherBytes: res.ParamAGBytes[rank],
+				ParamAllGatherBytes: r.ParamAGBytes[rank],
 			})
-			if b > r.MaxOptStateBytes {
-				r.MaxOptStateBytes = b
+			if b > sum.MaxOptStateBytes {
+				sum.MaxOptStateBytes = b
 			}
 		}
-		return r
-	}
-
-	replRes, replWall, err := run(false)
-	if err != nil {
-		return fmt.Errorf("benchtool: replicated run: %w", err)
-	}
-	shardRes, shardWall, err := run(true)
-	if err != nil {
-		return fmt.Errorf("benchtool: sharded run: %w", err)
-	}
-
-	identical := true
-	for r := range replRes.FinalWeights {
-		for i := range replRes.FinalWeights[r] {
-			if replRes.FinalWeights[r][i] != shardRes.FinalWeights[r][i] {
-				identical = false
-			}
-		}
+		return sum
 	}
 
 	rep := shardReport{
 		Workload:         "shard",
-		Codec:            codec,
+		Codec:            o.codec,
 		Learners:         learners,
 		DevicesPerNode:   devices,
 		Steps:            steps,
 		BucketFloats:     bucketFloats,
-		GradFloats:       len(replRes.FinalWeights[0]),
-		Replicated:       summarize(replRes, replWall),
-		Sharded:          summarize(shardRes, shardWall),
-		BitwiseIdentical: identical,
+		GradFloats:       len(repl.FinalWeights[0]),
+		Replicated:       summarize(repl),
+		Sharded:          summarize(shard),
+		BitwiseIdentical: true,
 	}
 	if rep.Sharded.MaxOptStateBytes > 0 {
 		rep.StateScaling = float64(rep.Replicated.MaxOptStateBytes) / float64(rep.Sharded.MaxOptStateBytes)
@@ -181,7 +136,7 @@ func shardWorkload(codec string, topkRatio float64, learners, devices, steps int
 	}
 
 	fmt.Printf("shard workload (ZeRO-1): codec=%s learners=%d devices=%d steps=%d grad=%d floats buckets=%d floats\n",
-		codec, learners, devices, steps, rep.GradFloats, bucketFloats)
+		o.codec, learners, devices, steps, rep.GradFloats, bucketFloats)
 	for _, row := range []struct {
 		name string
 		r    shardRun
@@ -197,10 +152,5 @@ func shardWorkload(codec string, topkRatio float64, learners, devices, steps int
 	fmt.Printf("  state scaling: %.2fx smaller per rank (world %d×%d)   grad wire bytes: %.2fx fewer (%.2fx total incl. param allgather)\n",
 		rep.StateScaling, learners, devices, rep.GradBytesScaling, rep.TotalBytesScaling)
 	fmt.Printf("  speedup: %.2fx   bitwise identical: %v\n", rep.Speedup, rep.BitwiseIdentical)
-
-	if !identical {
-		return fmt.Errorf("benchtool: sharded final weights diverge from replicated — ZeRO-1 equivalence broken")
-	}
-
-	return writeReport(jsonPath, "BENCH_shard.*.json", rep)
+	return writeReport(o.jsonPath, "BENCH_shard.*.json", rep)
 }

@@ -38,7 +38,7 @@ type simEntry struct {
 	SimWallMS          float64             `json:"sim_wall_ms"`
 }
 
-// simReport is the JSON schema of the -sim sweep.
+// simReport is the JSON schema of the sim sweep.
 type simReport struct {
 	Workload     string     `json:"workload"`
 	GradFloats   int        `json:"grad_floats"`
@@ -54,23 +54,11 @@ type simReport struct {
 // collectives × codecs on the calibrated Minsky fabric (full speed, no
 // slowdown: these are predictions for the real cluster) and reports
 // predicted step time, per-link-class traffic, and congestion hot spots.
-func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList string, topkRatio float64, seed uint64, overhead time.Duration, jsonPath string) error {
-	if nodes < 1 || ranksPerNode < 1 {
-		return fmt.Errorf("benchtool: -sim needs positive -sim-nodes and -sim-ranks (got %d×%d)", nodes, ranksPerNode)
-	}
-	scales := []simScale{{2, 4}, {16, ranksPerNode}, {nodes, ranksPerNode}}
-	// Dedup while preserving order (a small -sim-nodes can collide).
-	seen := map[simScale]bool{}
-	uniq := scales[:0]
-	for _, s := range scales {
-		if s.Nodes*s.RanksPerNode > 0 && !seen[s] && s.Nodes <= nodes {
-			seen[s] = true
-			uniq = append(uniq, s)
-		}
-	}
-	scales = uniq
-
-	codecs := strings.Split(codecList, ",")
+func simWorkload(o options) error {
+	const gradFloats, bucketFloats = 1 << 20, 16384
+	const seed, overhead = 1, time.Duration(0)
+	codecs := []string{"none", "int8", "topk"}
+	scales := []simScale{{2, 4}, {16, 8}, {64, 8}}
 	rep := simReport{
 		Workload:     "sim",
 		GradFloats:   gradFloats,
@@ -81,7 +69,7 @@ func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList st
 	}
 	start := time.Now()
 	fmt.Printf("sim workload: grad=%d floats bucket=%d floats codecs=%s seed=%d overhead=%s\n",
-		gradFloats, bucketFloats, codecList, seed, overhead)
+		gradFloats, bucketFloats, strings.Join(codecs, ","), seed, overhead)
 	for _, sc := range scales {
 		fabric := simnet.MinskyFabric(sc.Nodes)
 		intra, inter, err := fabric.LinkProfiles(1)
@@ -97,7 +85,7 @@ func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList st
 				cs = []string{"none"}
 			}
 			for _, codecName := range cs {
-				codec, err := compress.New(compress.Config{Codec: strings.TrimSpace(codecName), TopKRatio: topkRatio})
+				codec, err := compress.New(codecConfig(codecName, 0))
 				if err != nil {
 					return err
 				}
@@ -145,10 +133,10 @@ func simWorkload(nodes, ranksPerNode, gradFloats, bucketFloats int, codecList st
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
 	fmt.Printf("  swept %d configurations in %.2f s\n", len(rep.Entries), rep.WallSeconds)
-	return writeReport(jsonPath, "BENCH_sim.*.json", rep)
+	return writeReport(o.jsonPath, "BENCH_sim.*.json", rep)
 }
 
-// simCalibrateReport is the JSON schema of the -sim-calibrate gate (the
+// simCalibrateReport is the JSON schema of the sim-calibrate gate (the
 // sim.json CI artifact).
 type simCalibrateReport struct {
 	Workload     string                `json:"workload"`
@@ -166,8 +154,9 @@ type simCalibrateReport struct {
 // live at a small scale on slowed-down Minsky profiles (sleeps dominate
 // scheduler noise), fit the simulator's host overhead, and fail unless
 // byte counts agree exactly and the step-time MAPE stays within mapeMax.
-func simCalibrateWorkload(topkRatio float64, mapeMax float64, jsonPath string) error {
+func simCalibrateWorkload(o options) error {
 	const (
+		mapeMax             = 0.15
 		nodes, ranksPerNode = 2, 4
 		gradFloats          = 8192
 		bucketFloats        = 2048
@@ -211,7 +200,7 @@ func simCalibrateWorkload(topkRatio float64, mapeMax float64, jsonPath string) e
 		Slowdown: slowdown, Reps: reps, MAPEMax: mapeMax,
 		Calibration: cal,
 	}
-	if err := writeReport(jsonPath, "BENCH_sim_calibrate.*.json", rep); err != nil {
+	if err := writeReport(o.jsonPath, "BENCH_sim_calibrate.*.json", rep); err != nil {
 		return err
 	}
 	if !cal.BytesExact {

@@ -42,7 +42,8 @@ func runAllReduce(t *testing.T, alg Algorithm, n, length int, opts Options) {
 
 func TestAllAlgorithmsAllSizes(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 7, 8, 12, 16}
-	lengths := []int{1, 13, 1000}
+	// 5000 is above AlgDefault's 4096-float crossover to Rabenseifner.
+	lengths := []int{1, 13, 1000, 5000}
 	for _, alg := range Algorithms() {
 		for _, n := range sizes {
 			for _, l := range lengths {

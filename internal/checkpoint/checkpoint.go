@@ -251,6 +251,7 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	if count < 0 || count > 1<<20 {
 		return nil, fmt.Errorf("checkpoint: implausible param count %d", count)
 	}
+	chunk := make([]byte, 4*readChunkFloats)
 	for i := 0; i < count; i++ {
 		var nameLen [2]byte
 		if _, err := io.ReadFull(r, nameLen[:]); err != nil {
@@ -268,13 +269,9 @@ func Read(r io.Reader) (*Checkpoint, error) {
 		if sz < 0 || sz > 1<<30 {
 			return nil, fmt.Errorf("checkpoint: implausible param size %d", sz)
 		}
-		raw := make([]byte, 4*sz)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, fmt.Errorf("checkpoint: param %d data: %w", i, err)
-		}
-		vals, err := mpi.BytesToFloat32s(raw)
+		vals, err := readFloats(r, sz, chunk)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("checkpoint: param %d data: %w", i, err)
 		}
 		c.names = append(c.names, string(name))
 		c.values = append(c.values, vals)
@@ -285,17 +282,38 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	}
 	optLen := int(binary.LittleEndian.Uint32(optHdr[:]))
 	if optLen > 0 {
-		raw := make([]byte, 4*optLen)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return nil, fmt.Errorf("checkpoint: optimizer state: %w", err)
-		}
-		vals, err := mpi.BytesToFloat32s(raw)
+		vals, err := readFloats(r, optLen, chunk)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("checkpoint: optimizer state: %w", err)
 		}
 		c.optState = vals
 	}
 	return c, nil
+}
+
+// readChunkFloats is how far readFloats allocates ahead of the bytes it
+// has actually read: 64 KiB of payload.
+const readChunkFloats = 1 << 14
+
+// readFloats reads n little-endian float32s from r through chunk, a
+// 4*readChunkFloats scratch buffer. The result grows one chunk at a time as
+// bytes arrive, so a forged length on a short input fails with
+// io.ErrUnexpectedEOF having allocated about what the input held, not what
+// its header claimed.
+func readFloats(r io.Reader, n int, chunk []byte) ([]float32, error) {
+	out := make([]float32, 0, min(n, readChunkFloats))
+	for len(out) < n {
+		k := min(n-len(out), readChunkFloats)
+		if _, err := io.ReadFull(r, chunk[:4*k]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		out = append(out, make([]float32, k)...)
+		mpi.DecodeFloat32s(out[len(out)-k:], chunk[:4*k])
+	}
+	return out, nil
 }
 
 func float64bits(f float64) uint64     { return math.Float64bits(f) }

@@ -2,6 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/models"
@@ -157,6 +161,39 @@ func TestReadErrors(t *testing.T) {
 	full := buf.Bytes()
 	if _, err := Read(bytes.NewReader(full[:len(full)/3])); err == nil {
 		t.Fatal("truncated checkpoint should error")
+	}
+}
+
+// A header may claim far more floats than the input holds. Read must fail
+// with io.ErrUnexpectedEOF after allocating about what it actually read, not
+// the claimed size (2^28 optimizer floats would be 1 GiB, a 2^30-float
+// param 4 GiB).
+func TestReadForgedLengthsBoundAllocation(t *testing.T) {
+	header := func(count uint32) []byte {
+		b := make([]byte, 28)
+		binary.LittleEndian.PutUint32(b[0:], magic)
+		binary.LittleEndian.PutUint32(b[4:], version)
+		binary.LittleEndian.PutUint32(b[24:], count)
+		return b
+	}
+	optForged := binary.LittleEndian.AppendUint32(header(0), 1<<28)
+	paramForged := append(header(1), 1, 0, 'w')
+	paramForged = binary.LittleEndian.AppendUint32(paramForged, 1<<30)
+	paramForged = append(paramForged, make([]byte, 64)...)
+	for name, input := range map[string][]byte{
+		"optimizer length 2^28": optForged,
+		"param size 2^30":       paramForged,
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := Read(bytes.NewReader(input))
+		runtime.ReadMemStats(&m1)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want io.ErrUnexpectedEOF", name, err)
+		}
+		if delta := m1.TotalAlloc - m0.TotalAlloc; delta >= 1<<20 {
+			t.Errorf("%s: Read allocated %d bytes on a %d-byte input, want < 1 MiB", name, delta, len(input))
+		}
 	}
 }
 

@@ -192,7 +192,7 @@ func OverlapBenchModel(classes, size int, seed int64) nn.Layer {
 }
 
 // AllocBenchModel builds the parameter-heavy, compute-light MLP behind
-// benchtool's -allocs workload: the ~400k-float gradient dwarfs the few
+// benchtool's allocs workload: the ~400k-float gradient dwarfs the few
 // dense-layer activations, so per-step allocation counts measure the
 // communication hot path (bucketing, codecs, transport) rather than conv
 // compute. Shared so the committed BENCH_alloc.json baseline and any local
@@ -210,7 +210,7 @@ func AllocBenchModel(classes, size int, seed int64) nn.Layer {
 	)
 }
 
-// ShardBenchModel builds the many-equal-layer MLP behind benchtool's -shard
+// ShardBenchModel builds the many-equal-layer MLP behind benchtool's shard
 // workload. Its parameter mass is spread over ten same-sized 192×192 dense
 // layers (the input is flattened to 192 at size 8, so the first layer is no
 // bigger than the rest) — whole-parameter contiguous shards therefore

@@ -173,44 +173,11 @@ func (c *Comm) AllToAllV(send [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Large-payload allreduce delegation: internal/allreduce registers its
-// default algorithm (recursive doubling / Rabenseifner) here at init, so
-// AllReduceFloats callers get the optimized path for big vectors without
-// this package importing the algorithms (which would cycle).
-var (
-	largeAllReduce    func(c *Comm, data []float32) error
-	largeAllReduceMin = 4096
-)
-
-// SetLargeAllReduceDelegate installs fn as the allreduce used for payloads
-// above minFloats elements (minFloats <= 0 keeps the default threshold).
-// Intended to be called from an init function, before any communication.
-func SetLargeAllReduceDelegate(fn func(c *Comm, data []float32) error, minFloats int) {
-	largeAllReduce = fn
-	if minFloats > 0 {
-		largeAllReduceMin = minFloats
-	}
-}
-
-// LargeAllReduceDelegateInstalled reports whether a delegate is registered.
-func LargeAllReduceDelegateInstalled() bool { return largeAllReduce != nil }
-
 // AllReduceFloats sums equal-length float32 vectors across all ranks,
-// leaving the result on every rank. Small payloads use the naive
-// reduce+broadcast composition; payloads above the delegation threshold are
-// routed to internal/allreduce's default algorithm when that package is
-// linked in (it registers itself at init).
+// leaving the result on every rank, by the naive reduce+broadcast
+// composition. It serves small control-plane reductions (evaluation
+// statistics); gradient-sized vectors go through internal/allreduce.
 func (c *Comm) AllReduceFloats(data []float32) error {
-	if largeAllReduce != nil && len(data) > largeAllReduceMin && c.Size() > 1 {
-		return largeAllReduce(c, data)
-	}
-	return c.AllReduceFloatsNaive(data)
-}
-
-// AllReduceFloatsNaive is the reduce+broadcast composition, kept as the
-// small-payload path and as the explicit "naive" baseline in the allreduce
-// benchmarks (which must not silently measure the delegated algorithm).
-func (c *Comm) AllReduceFloatsNaive(data []float32) error {
 	if err := c.ReduceFloats(0, data); err != nil {
 		return err
 	}

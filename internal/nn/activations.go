@@ -16,7 +16,7 @@ type ReLU struct {
 	// The kernel closures are built once and read the current tensors
 	// through these fields: a func literal handed to kernels.Run escapes,
 	// so per-call closures would put an allocation per activation on the
-	// training hot path (gated by benchtool -allocs).
+	// training hot path (gated by benchtool allocs).
 	fwdX, fwdOut  *tensor.Tensor
 	bwdOut, bwdIn *tensor.Tensor
 	fwdFn, bwdFn  func(lo, hi int)

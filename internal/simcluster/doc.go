@@ -8,5 +8,5 @@
 // flow DAG, workloads.go holds the calibrated per-model compute/data
 // constants, experiments.go reproduces the numbered figures and tables,
 // accuracy.go and memory.go the statistical-efficiency and footprint
-// models, plot.go the ASCII charts behind benchtool -plot.
+// models.
 package simcluster
