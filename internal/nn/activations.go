@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
@@ -10,9 +12,15 @@ import (
 const reluGrain = 1 << 14
 
 // ReLU is the rectified linear activation, applied elementwise.
+//
+// Both passes are branch-free: Forward keeps a value's bits under an
+// all-ones mask when it is positive and clears them otherwise, and Backward
+// ANDs the gradient bits with the same mask. A float is positive exactly
+// when bits-1 < 0x7f800000 (unsigned), so NaN and −0 give +0 and +Inf is
+// kept — the same bits as the v > 0 select.
 type ReLU struct {
 	name string
-	mask []bool // true where input was > 0
+	mask []uint8 // 0xff where input was > 0, else 0
 	// The kernel closures are built once and read the current tensors
 	// through these fields: a func literal handed to kernels.Run escapes,
 	// so per-call closures would put an allocation per activation on the
@@ -35,21 +43,23 @@ func (r *ReLU) Params() []*Param { return nil }
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	if len(r.mask) < x.Len() {
-		r.mask = make([]bool, x.Len())
+		r.mask = make([]uint8, x.Len())
 	}
 	r.fwdX, r.fwdOut = x, out
 	if r.fwdFn == nil {
 		// Elementwise with disjoint writes: range boundaries cannot affect
 		// bits.
 		r.fwdFn = func(lo, hi int) {
-			x, out := r.fwdX, r.fwdOut
-			for i, v := range x.Data[lo:hi] {
-				if v > 0 {
-					out.Data[lo+i] = v
-					r.mask[lo+i] = true
-				} else {
-					r.mask[lo+i] = false
-				}
+			x := r.fwdX.Data[lo:hi]
+			out := r.fwdOut.Data[lo:hi][:len(x)]
+			mask := r.mask[lo:hi][:len(x)]
+			for i, v := range x {
+				b := math.Float32bits(v)
+				// All ones iff b-1 < 0x7f800000: the int64 difference
+				// is negative exactly then, and >>63 smears its sign.
+				m := uint32((int64(b-1) - 0x7f800000) >> 63)
+				out[i] = math.Float32frombits(b & m)
+				mask[i] = uint8(m)
 			}
 		}
 	}
@@ -64,11 +74,12 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	r.bwdOut, r.bwdIn = gradOut, gradIn
 	if r.bwdFn == nil {
 		r.bwdFn = func(lo, hi int) {
-			gradOut, gradIn := r.bwdOut, r.bwdIn
-			for i, g := range gradOut.Data[lo:hi] {
-				if r.mask[lo+i] {
-					gradIn.Data[lo+i] = g
-				}
+			g := r.bwdOut.Data[lo:hi]
+			gi := r.bwdIn.Data[lo:hi][:len(g)]
+			mask := r.mask[lo:hi][:len(g)]
+			for i, v := range g {
+				// Sign-extend the 0/0xff mask byte to 32 bits.
+				gi[i] = math.Float32frombits(math.Float32bits(v) & uint32(int32(int8(mask[i]))))
 			}
 		}
 	}

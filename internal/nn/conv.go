@@ -40,6 +40,9 @@ type Conv2D struct {
 	scratch                  []convScratch  // per-chunk workspaces, reused across steps
 	gradIn                   *tensor.Tensor // layer-owned Backward output, reused across steps
 	lastH, lastW, outH, outW int
+	// colsHeld records that the last Forward ran one image per chunk, so
+	// each chunk's cols still hold its image's columns for Backward.
+	colsHeld bool
 }
 
 // ConvOpts selects optional conv features.
@@ -114,6 +117,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	colN := c.outH * c.outW
 	chunks := kernels.GradChunks(n)
 	c.ensureScratch(chunks, colRows*colN, false)
+	c.colsHeld = chunks == n
 	out := tensor.New(n, c.OutC, c.outH, c.outW)
 	inPlane := c.InC * h * w
 	outPlane := c.OutC * colN
@@ -175,13 +179,17 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 		for i := lo; i < hi; i++ {
-			src := x.Data[i*inPlane : (i+1)*inPlane]
 			g := gradOut.Data[i*outPlane : (i+1)*outPlane]
 
-			// dW += g · colsᵀ, recomputing the columns (saves memory over
-			// caching all per-image column matrices, the standard recompute
-			// trade-off). Accumulates into the chunk's partial buffer.
-			tensor.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
+			// dW += g · colsᵀ into the chunk's partial buffer. A chunk of
+			// one image still holds that image's columns from Forward; a
+			// chunk of several recomputes them per image (saves memory over
+			// caching every image's column matrix, the standard recompute
+			// trade-off).
+			if !c.colsHeld {
+				src := x.Data[i*inPlane : (i+1)*inPlane]
+				tensor.Im2Col(src, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
+			}
 			tensor.Gemm(false, true, c.OutC, colRows, colN, 1, g, cols, 1, dW)
 
 			// dCols = Wᵀ · g, then scatter back to the input gradient. The

@@ -190,6 +190,43 @@ func TestReLUForward(t *testing.T) {
 	}
 }
 
+// TestReLUBitwiseSpecialValues pins the branch-free ReLU to the v > 0
+// select bit for bit on every pairing of special inputs and gradients:
+// NaN and −0 inputs give +0, +Inf is kept, and masked-off gradients are +0
+// whatever their sign or payload.
+func TestReLUBitwiseSpecialValues(t *testing.T) {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00001),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xffffffff), // NaNs next to +Inf and at the top of the bit range
+		math.Float32frombits(1), math.Float32frombits(0x80000001),
+		1, -1,
+	}
+	n := len(specials) * len(specials)
+	x, g := tensor.New(n), tensor.New(n)
+	for i := 0; i < n; i++ {
+		x.Data[i] = specials[i/len(specials)]
+		g.Data[i] = specials[i%len(specials)]
+	}
+	r := NewReLU("r")
+	out := r.Forward(x, true)
+	gradIn := r.Backward(g)
+	for i, v := range x.Data {
+		wantOut, wantGrad := uint32(0), uint32(0)
+		if v > 0 {
+			wantOut, wantGrad = math.Float32bits(v), math.Float32bits(g.Data[i])
+		}
+		if got := math.Float32bits(out.Data[i]); got != wantOut {
+			t.Fatalf("forward(%08x) = %08x, want %08x", math.Float32bits(v), got, wantOut)
+		}
+		if got := math.Float32bits(gradIn.Data[i]); got != wantGrad {
+			t.Fatalf("backward(x=%08x, g=%08x) = %08x, want %08x",
+				math.Float32bits(v), math.Float32bits(g.Data[i]), got, wantGrad)
+		}
+	}
+}
+
 func TestPropReLUNonNegative(t *testing.T) {
 	r := NewReLU("r")
 	f := func(vals []float32) bool {

@@ -138,3 +138,105 @@ func TestConvBackwardScratchReuse(t *testing.T) {
 		t.Fatalf("reshaped Backward returned %v", g3.Shape())
 	}
 }
+
+// convReference computes conv's input, weight and bias gradients for input x
+// and output gradient gradOut from the public tensor.Im2Col and tensor.Gemm,
+// in the order Conv2D.Backward promises: per image within each
+// kernels.GradChunks chunk into a zeroed partial, partials folded in chunk
+// order into zeroed gradients.
+func convReference(c *Conv2D, x, gradOut *tensor.Tensor) (dX, dW, dB []float32) {
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	oh := tensor.ConvOutSize(h, c.KH, c.StrideH, c.PadH)
+	ow := tensor.ConvOutSize(w, c.KW, c.StrideW, c.PadW)
+	colRows, colN := c.InC*c.KH*c.KW, oh*ow
+	inPlane, outPlane := c.InC*h*w, c.OutC*colN
+	chunks := kernels.GradChunks(n)
+	bounds := make([][2]int, chunks)
+	kernels.RunChunks(n, chunks, func(ci, lo, hi int) { bounds[ci] = [2]int{lo, hi} })
+
+	dX = make([]float32, n*inPlane)
+	dW = make([]float32, c.Weight.Value.Len())
+	dB = make([]float32, c.OutC)
+	cols := make([]float32, colRows*colN)
+	gradCols := make([]float32, colRows*colN)
+	for _, b := range bounds {
+		pW := make([]float32, len(dW))
+		pB := make([]float32, len(dB))
+		for i := b[0]; i < b[1]; i++ {
+			g := gradOut.Data[i*outPlane : (i+1)*outPlane]
+			tensor.Im2Col(x.Data[i*inPlane:(i+1)*inPlane], c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, cols)
+			tensor.Gemm(false, true, c.OutC, colRows, colN, 1, g, cols, 1, pW)
+			tensor.Gemm(true, false, colRows, colN, c.OutC, 1, c.Weight.Value.Data, g, 0, gradCols)
+			tensor.Col2Im(gradCols, c.InC, h, w, c.KH, c.KW, c.StrideH, c.StrideW, c.PadH, c.PadW, dX[i*inPlane:(i+1)*inPlane])
+			for oc := range pB {
+				var sum float32
+				for _, v := range g[oc*colN : (oc+1)*colN] {
+					sum += v
+				}
+				pB[oc] += sum
+			}
+		}
+		for j, v := range pW {
+			dW[j] += v
+		}
+		for j, v := range pB {
+			dB[j] += v
+		}
+	}
+	return dX, dW, dB
+}
+
+// TestConvBackwardReusesForwardColumns: Backward reuses Forward's columns
+// when every chunk holds one image (batch 8) and recomputes them when a
+// chunk spans several (batch 20); both must equal the reference bit for bit.
+// The interleaved Forward orders catch a stale record of which columns the
+// scratch holds.
+func TestConvBackwardReusesForwardColumns(t *testing.T) {
+	const inC, h, w = 3, 7, 6
+	rng := tensor.NewRNG(11)
+	x8, x20 := tensor.New(8, inC, h, w), tensor.New(20, inC, h, w)
+	rng.FillNormal(x8, 0, 1)
+	rng.FillNormal(x20, 0, 1)
+	geoms := []struct {
+		name  string
+		build func() *Conv2D
+	}{
+		{"3x3-s1-bias", func() *Conv2D {
+			return NewConv2D("conv", inC, 16, 3, 3, 1, 1, 1, 1, ConvOpts{Bias: true}, tensor.NewRNG(5))
+		}},
+		{"3x3-s2", func() *Conv2D {
+			return NewConv2D("conv", inC, 8, 3, 3, 2, 2, 1, 1, ConvOpts{}, tensor.NewRNG(6))
+		}},
+	}
+	orders := []struct {
+		name     string
+		forwards []*tensor.Tensor // the last one is back-propagated
+	}{
+		{"8", []*tensor.Tensor{x8}},
+		{"20", []*tensor.Tensor{x20}},
+		{"8,20", []*tensor.Tensor{x8, x20}},
+		{"20,8", []*tensor.Tensor{x20, x8}},
+	}
+	for _, geom := range geoms {
+		for _, order := range orders {
+			conv := geom.build()
+			var out *tensor.Tensor
+			for _, x := range order.forwards {
+				out = conv.Forward(x, true)
+			}
+			x := order.forwards[len(order.forwards)-1]
+			gradOut := tensor.New(out.Shape()...)
+			tensor.NewRNG(99).FillNormal(gradOut, 0, 1)
+			dX := conv.Backward(gradOut)
+
+			wantX, wantW, wantB := convReference(conv, x, gradOut)
+			label := geom.name + "/forwards " + order.name
+			width := kernels.Workers()
+			bitsEqual(t, label+"/dX", width, dX.Data, wantX)
+			bitsEqual(t, label+"/dW", width, conv.Weight.Grad.Data, wantW)
+			if conv.Bias != nil {
+				bitsEqual(t, label+"/dB", width, conv.Bias.Grad.Data, wantB)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,151 @@ func TestPropCol2ImAdjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// im2colRef is the per-element Im2Col: every tap bounds-checked on its own.
+// It is the bitwise oracle for the run-based lowering.
+func im2colRef(src []float32, channels, height, width, kh, kw, sh, sw, ph, pw int, dst []float32) {
+	outH := ConvOutSize(height, kh, sh, ph)
+	outW := ConvOutSize(width, kw, sw, pw)
+	di := 0
+	for c := 0; c < channels; c++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						iy, ix := oy*sh-ph+ky, ox*sw-pw+kx
+						if iy >= 0 && iy < height && ix >= 0 && ix < width {
+							dst[di] = src[(c*height+iy)*width+ix]
+						} else {
+							dst[di] = 0
+						}
+						di++
+					}
+				}
+			}
+		}
+	}
+}
+
+// col2imRef is the per-element Col2Im, accumulating in row-major column
+// order.
+func col2imRef(cols []float32, channels, height, width, kh, kw, sh, sw, ph, pw int, dst []float32) {
+	outH := ConvOutSize(height, kh, sh, ph)
+	outW := ConvOutSize(width, kw, sw, pw)
+	si := 0
+	for c := 0; c < channels; c++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						iy, ix := oy*sh-ph+ky, ox*sw-pw+kx
+						if iy >= 0 && iy < height && ix >= 0 && ix < width {
+							dst[(c*height+iy)*width+ix] += cols[si]
+						}
+						si++
+					}
+				}
+			}
+		}
+	}
+}
+
+// moveSpecials salt Im2Col inputs: it only moves bits, so every payload
+// must arrive unchanged. addSpecials salt Col2Im inputs: float addition
+// commutes bitwise except for which NaN payload survives, which Go leaves
+// to the compiler's operand order, so they hold a single NaN payload and
+// no −Inf (Inf + −Inf would mint a second one).
+var (
+	moveSpecials = []float32{
+		float32(math.Copysign(0, -1)), 0,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa00005),
+	}
+	addSpecials = []float32{
+		float32(math.Copysign(0, -1)), 0,
+		float32(math.Inf(1)), math.Float32frombits(0x7fc00001),
+	}
+)
+
+// specialBuf is randBuf with about one value in eight replaced by one of
+// specials.
+func specialBuf(g *RNG, n int, specials []float32) []float32 {
+	b := randBuf(g, n)
+	for i := range b {
+		if g.Intn(8) == 0 {
+			b[i] = specials[g.Intn(len(specials))]
+		}
+	}
+	return b
+}
+
+// TestIm2ColCol2ImBitwiseReference sweeps seeded random geometries and
+// checks the run-based Im2Col and Col2Im against the per-element loops bit
+// for bit, including kernel taps that miss every output (an empty span),
+// the flat unit-stride path, and a dst pre-filled with a sentinel (Im2Col
+// must write every cell and nothing past the matrix) or with random values
+// (Col2Im accumulates).
+func TestIm2ColCol2ImBitwiseReference(t *testing.T) {
+	const sentinel = 0x7fc0dead
+	g := NewRNG(15)
+	var cases, emptySpans, flat int
+	for cases < 4000 {
+		c := 1 + g.Intn(3)
+		h, w := 1+g.Intn(9), 1+g.Intn(9)
+		kh, kw := 1+g.Intn(5), 1+g.Intn(5)
+		sh, sw := 1+g.Intn(3), 1+g.Intn(3)
+		ph, pw := g.Intn(4), g.Intn(4)
+		oh, ow := ConvOutSize(h, kh, sh, ph), ConvOutSize(w, kw, sw, pw)
+		if h+2*ph < kh || w+2*pw < kw {
+			continue
+		}
+		cases++
+		for k := 0; k < kw; k++ {
+			if lo, hi := validSpan(w, ow, k, sw, pw); lo == hi {
+				emptySpans++
+			}
+		}
+		if sh == 1 && sw == 1 && ow == w {
+			flat++
+		}
+		geom := fmt.Sprintf("C%d H%d W%d k%dx%d s%dx%d p%dx%d", c, h, w, kh, kw, sh, sw, ph, pw)
+		n := c * kh * kw * oh * ow
+
+		src := specialBuf(g, c*h*w, moveSpecials)
+		want := make([]float32, n)
+		im2colRef(src, c, h, w, kh, kw, sh, sw, ph, pw, want)
+		got := make([]float32, n+3)
+		for i := range got {
+			got[i] = math.Float32frombits(sentinel)
+		}
+		Im2Col(src, c, h, w, kh, kw, sh, sw, ph, pw, got[:n])
+		for i, v := range got[n:] {
+			if math.Float32bits(v) != sentinel {
+				t.Fatalf("Im2Col %s: wrote %08x past the matrix at +%d", geom, math.Float32bits(v), i)
+			}
+		}
+		for i := range want {
+			if gb, wb := math.Float32bits(got[i]), math.Float32bits(want[i]); gb != wb {
+				t.Fatalf("Im2Col %s: cell %d = %08x, want %08x", geom, i, gb, wb)
+			}
+		}
+
+		cols := specialBuf(g, n, addSpecials)
+		base := randBuf(g, c*h*w)
+		wantIm := append([]float32(nil), base...)
+		col2imRef(cols, c, h, w, kh, kw, sh, sw, ph, pw, wantIm)
+		gotIm := append([]float32(nil), base...)
+		Col2Im(cols, c, h, w, kh, kw, sh, sw, ph, pw, gotIm)
+		for i := range wantIm {
+			if gb, wb := math.Float32bits(gotIm[i]), math.Float32bits(wantIm[i]); gb != wb {
+				t.Fatalf("Col2Im %s: cell %d = %08x, want %08x", geom, i, gb, wb)
+			}
+		}
+	}
+	if emptySpans == 0 || flat == 0 {
+		t.Fatalf("sweep missed a path: %d empty kernel-column spans, %d flat geometries", emptySpans, flat)
 	}
 }
 
