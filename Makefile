@@ -3,21 +3,28 @@
 
 GO ?= go
 
-.PHONY: all build test goamd64-v3 race bench allocs allocs-baseline kernels kernels-baseline overlap shard hier chaos sim sim-calibrate lint clean
+.PHONY: all build test goamd64-v3 purego race bench allocs allocs-baseline kernels kernels-baseline overlap shard hier chaos sim sim-calibrate lint clean
 
 all: lint build test
 
 build:
 	$(GO) build ./...
 
-test: goamd64-v3
+test: goamd64-v3 purego
 	$(GO) test ./...
 
-# The GEMM bitwise suites built for x86-64-v3 (needs an AVX2 host): a
-# tripwire in case a future toolchain starts fusing float32 multiply-add
-# into FMA, which would break bitwise equality with the assembly kernels.
+# The GEMM and int8 bitwise suites built for x86-64-v3 (needs an AVX2
+# host): a tripwire in case a future toolchain starts fusing float32
+# multiply-add into FMA, which would break bitwise equality with the
+# assembly kernels.
 goamd64-v3:
 	GOAMD64=v3 $(GO) test -run 'GemmBitwise|GemmPacked' ./internal/tensor
+	GOAMD64=v3 $(GO) test -run 'DecompressAdd|Int8Vectorized|Int8AVX2Kernels|FeedbackEncode' ./internal/compress
+
+# The codec suites on the scalar loops (the build without the assembly
+# kernels), so AVX2 hosts keep them exercised.
+purego:
+	$(GO) test -tags purego -run 'DecompressAdd|Int8Vectorized|FeedbackEncode|FeedbackAccounting|ParallelEncode|Half' ./internal/compress
 
 race:
 	$(GO) test -race -shuffle=on -timeout 40m ./...
@@ -84,10 +91,10 @@ sim:
 sim-calibrate:
 	$(GO) run ./cmd/benchtool sim-calibrate -json sim.json
 
-# The purego vet type-checks the build without the assembly GEMM kernels.
+# The purego vet type-checks the build without the assembly kernels.
 lint:
 	$(GO) vet ./...
-	$(GO) vet -tags purego ./internal/tensor
+	$(GO) vet -tags purego ./internal/kernels ./internal/tensor ./internal/compress
 	gofmt -l . | tee /dev/stderr | test -z "$$(cat)"
 
 clean:

@@ -31,10 +31,10 @@ const (
 type CompressedOptions struct {
 	// BucketFloats is the bucket size in elements (default 16384).
 	BucketFloats int
-	// SelfDecoded, when non-nil (same length as data), receives the decode
-	// of this rank's own payloads — the values the wire actually carried —
-	// which error feedback needs to compute its residual.
-	SelfDecoded []float32
+	// Feedback, when non-nil (same length as data), is this rank's
+	// error-feedback residual (see StreamOptions.Feedback). The call stages
+	// the new residual; the caller commits it on success.
+	Feedback *compress.Feedback
 	// ShardBounds is the shard layout for BucketedReduceScatter (see
 	// StreamOptions.ShardBounds); nil means UniformBounds. It must be nil
 	// for BucketedAllReduce.
@@ -104,8 +104,8 @@ type bucketJob struct {
 // all ranks, accumulated in rank order — identical bitwise on every rank —
 // so synchronous-SGD replicas stay in lockstep even under lossy codecs.
 // (This rank's own contribution is its decoded payload too, not its raw
-// values: the compression error is accounted locally via SelfDecoded and,
-// optionally, error feedback.)
+// values: the compression error stays local, carried into the next step
+// when opts.Feedback is set.)
 func BucketedAllReduce(c *mpi.Comm, data []float32, codec compress.Codec, opts CompressedOptions) (CompressedStats, error) {
 	if opts.ShardBounds != nil {
 		return CompressedStats{}, fmt.Errorf("allreduce: ShardBounds set; use BucketedReduceScatter")
@@ -145,14 +145,14 @@ func bucketedExchange(c *mpi.Comm, data []float32, codec compress.Codec, opts Co
 	if bf <= 0 {
 		bf = 16384
 	}
-	if opts.SelfDecoded != nil && len(opts.SelfDecoded) != len(data) {
-		return CompressedStats{}, fmt.Errorf("allreduce: SelfDecoded length %d, data length %d", len(opts.SelfDecoded), len(data))
+	if opts.Feedback != nil && len(opts.Feedback.Residual()) != len(data) {
+		return CompressedStats{}, fmt.Errorf("allreduce: Feedback length %d, data length %d", len(opts.Feedback.Residual()), len(data))
 	}
 	if len(data) == 0 {
 		return CompressedStats{}, nil
 	}
 	nb := (len(data) + bf - 1) / bf
-	s := NewStream(c, codec, StreamOptions{SelfDecoded: opts.SelfDecoded, ShardBounds: opts.ShardBounds, Topology: opts.Topology, MaxInFlight: 4})
+	s := NewStream(c, codec, StreamOptions{Feedback: opts.Feedback, ShardBounds: opts.ShardBounds, Topology: opts.Topology, MaxInFlight: 4})
 	go func() {
 		for b := 0; b < nb; b++ {
 			lo, hi := b*bf, min(b*bf+bf, len(data))

@@ -139,30 +139,64 @@ func TestBucketedBitwiseIdenticalAcrossRanks(t *testing.T) {
 	}
 }
 
-// SelfDecoded must equal decode(compress(own data)) — the error-feedback
-// contract.
+// wantResidual is the error-feedback residual a rank must hold after
+// exchanging data in buckets of the given size from residual prev: bucket
+// by bucket, v - decode(compress(v)) with v = data + prev — the own
+// payload's decode, which is all the residual needs from it.
+func wantResidual(codec compress.Codec, data, prev []float32, bucket int) ([]float32, error) {
+	want := make([]float32, len(data))
+	for lo := 0; lo < len(data); lo += bucket {
+		hi := min(lo+bucket, len(data))
+		v := make([]float32, hi-lo)
+		for i := range v {
+			v[i] = data[lo+i] + prev[lo+i]
+		}
+		d := make([]float32, hi-lo)
+		if err := codec.Decompress(d, compress.Encode(codec, v)); err != nil {
+			return nil, err
+		}
+		for i := range v {
+			want[lo+i] = v[i] - d[i]
+		}
+	}
+	return want, nil
+}
+
+// checkResidual compares a rank's committed residual with wantResidual, bit
+// for bit.
+func checkResidual(rank int, codec compress.Codec, fb *compress.Feedback, data, prev []float32, bucket int) error {
+	want, err := wantResidual(codec, data, prev, bucket)
+	if err != nil {
+		return err
+	}
+	for i, r := range fb.Residual() {
+		if math.Float32bits(r) != math.Float32bits(want[i]) {
+			return fmt.Errorf("rank %d: residual[%d] = %v, want %v", rank, i, r, want[i])
+		}
+	}
+	return nil
+}
+
+// The own payload's decode must reach error feedback: after two exchanges,
+// each committed, the residual equals the unfused decode-and-subtract
+// residual of the data sent.
 func TestBucketedSelfDecoded(t *testing.T) {
 	const n, length, bucket = 3, 2000, 512
 	codec := compress.TopK{Ratio: 0.25}
 	w := mpi.NewWorld(n)
 	defer w.Close()
 	err := w.Run(func(c *mpi.Comm) error {
-		orig := rankVec(length, c.Rank())
-		data := append([]float32(nil), orig...)
-		self := make([]float32, length)
-		if _, err := BucketedAllReduce(c, data, codec, CompressedOptions{BucketFloats: bucket, SelfDecoded: self}); err != nil {
-			return err
-		}
-		want := make([]float32, length)
-		for lo := 0; lo < length; lo += bucket {
-			hi := min(lo+bucket, length)
-			if err := codec.Decompress(want[lo:hi], compress.Encode(codec, orig[lo:hi])); err != nil {
+		fb := compress.NewFeedback(length)
+		for step := 0; step < 2; step++ {
+			orig := rankVec(length, c.Rank()+step)
+			data := append([]float32(nil), orig...)
+			prev := append([]float32(nil), fb.Residual()...)
+			if _, err := BucketedAllReduce(c, data, codec, CompressedOptions{BucketFloats: bucket, Feedback: fb}); err != nil {
 				return err
 			}
-		}
-		for i := range want {
-			if self[i] != want[i] {
-				return fmt.Errorf("rank %d: self[%d] = %v, want %v", c.Rank(), i, self[i], want[i])
+			fb.Commit()
+			if err := checkResidual(c.Rank(), codec, fb, orig, prev, bucket); err != nil {
+				return fmt.Errorf("step %d: %w", step, err)
 			}
 		}
 		return nil
@@ -174,9 +208,9 @@ func TestBucketedSelfDecoded(t *testing.T) {
 	w2 := mpi.NewWorld(1)
 	defer w2.Close()
 	err = w2.Run(func(c *mpi.Comm) error {
-		_, err := BucketedAllReduce(c, make([]float32, 8), codec, CompressedOptions{SelfDecoded: make([]float32, 4)})
+		_, err := BucketedAllReduce(c, make([]float32, 8), codec, CompressedOptions{Feedback: compress.NewFeedback(4)})
 		if err == nil {
-			return fmt.Errorf("SelfDecoded length mismatch should error")
+			return fmt.Errorf("Feedback length mismatch should error")
 		}
 		return nil
 	})

@@ -209,7 +209,7 @@ func TestBucketedReduceScatterMatchesAllReduceBitwise(t *testing.T) {
 	}
 }
 
-// SelfDecoded must be complete on every rank in reduce-scatter mode — also
+// The residual must be complete on every rank in reduce-scatter mode — also
 // for buckets the rank does not own — or error feedback would corrupt the
 // residual for non-shard ranges.
 func TestBucketedReduceScatterSelfDecodedComplete(t *testing.T) {
@@ -220,24 +220,12 @@ func TestBucketedReduceScatterSelfDecodedComplete(t *testing.T) {
 	err := w.Run(func(c *mpi.Comm) error {
 		orig := rankVec(length, c.Rank())
 		data := append([]float32(nil), orig...)
-		self := make([]float32, length)
-		_, err := BucketedReduceScatter(c, data, codec, CompressedOptions{BucketFloats: bucket, SelfDecoded: self})
-		if err != nil {
+		fb := compress.NewFeedback(length)
+		if _, err := BucketedReduceScatter(c, data, codec, CompressedOptions{BucketFloats: bucket, Feedback: fb}); err != nil {
 			return err
 		}
-		want := make([]float32, length)
-		for lo := 0; lo < length; lo += bucket {
-			hi := min(lo+bucket, length)
-			if err := codec.Decompress(want[lo:hi], compress.Encode(codec, orig[lo:hi])); err != nil {
-				return err
-			}
-		}
-		for i := range want {
-			if self[i] != want[i] {
-				return fmt.Errorf("rank %d: self[%d] = %v, want %v", c.Rank(), i, self[i], want[i])
-			}
-		}
-		return nil
+		fb.Commit()
+		return checkResidual(c.Rank(), codec, fb, orig, make([]float32, length), bucket)
 	})
 	if err != nil {
 		t.Fatal(err)

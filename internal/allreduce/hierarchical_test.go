@@ -2,6 +2,7 @@ package allreduce
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -29,48 +30,49 @@ func topoName(t mpi.Topology) string {
 
 // runFlatAndHier runs BucketedAllReduce over the same per-rank inputs twice
 // — flat, then hierarchically over topo — and returns both result sets (and
-// SelfDecoded captures) indexed by rank.
-func runFlatAndHier(t *testing.T, codec compress.Codec, topo *mpi.Topology, n, length, bucket int) (flat, hier, flatSelf, hierSelf [][]float32) {
+// the committed error-feedback residuals) indexed by rank.
+func runFlatAndHier(t *testing.T, codec compress.Codec, topo *mpi.Topology, n, length, bucket int) (flat, hier, flatRes, hierRes [][]float32) {
 	t.Helper()
 	run := func(tp *mpi.Topology) ([][]float32, [][]float32) {
 		w := mpi.NewWorld(n)
 		defer w.Close()
 		out := make([][]float32, n)
-		self := make([][]float32, n)
+		res := make([][]float32, n)
 		var mu sync.Mutex
 		err := w.Run(func(c *mpi.Comm) error {
 			data := rankVec(length, c.Rank())
-			sd := make([]float32, length)
+			fb := compress.NewFeedback(length)
 			_, err := BucketedAllReduce(c, data, codec, CompressedOptions{
 				BucketFloats: bucket,
-				SelfDecoded:  sd,
+				Feedback:     fb,
 				Topology:     tp,
 			})
 			if err != nil {
 				return err
 			}
+			fb.Commit()
 			mu.Lock()
 			out[c.Rank()] = data
-			self[c.Rank()] = sd
+			res[c.Rank()] = fb.Residual()
 			mu.Unlock()
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("topo=%v codec=%s: %v", tp, codec.Name(), err)
 		}
-		return out, self
+		return out, res
 	}
-	flat, flatSelf = run(nil)
-	hier, hierSelf = run(topo)
-	return flat, hier, flatSelf, hierSelf
+	flat, flatRes = run(nil)
+	hier, hierRes = run(topo)
+	return flat, hier, flatRes, hierRes
 }
 
 // TestHierarchicalMatchesFlatBitwise is the tentpole's correctness claim:
 // hierarchical routing is a pure routing change — the leader-chain fold
 // reproduces the flat all-to-all's rank-order sum bit for bit, across exact
 // and lossy codecs, bucket sizes that split the vector unevenly, and node
-// layouts from one fat node to a pure leader chain. SelfDecoded (the error
-// feedback input) must also be identical.
+// layouts from one fat node to a pure leader chain. The error-feedback
+// residual must also be identical.
 func TestHierarchicalMatchesFlatBitwise(t *testing.T) {
 	const n, length = 6, 1000
 	codecs := []compress.Codec{compress.Identity{}, compress.Int8{}, compress.TopK{Ratio: 0.25}}
@@ -81,14 +83,14 @@ func TestHierarchicalMatchesFlatBitwise(t *testing.T) {
 			for _, bucket := range []int{64, 333, 4096} {
 				name := fmt.Sprintf("%s/%s/bucket=%d", topoName(topo), codec.Name(), bucket)
 				t.Run(name, func(t *testing.T) {
-					flat, hier, flatSelf, hierSelf := runFlatAndHier(t, codec, &topo, n, length, bucket)
+					flat, hier, flatRes, hierRes := runFlatAndHier(t, codec, &topo, n, length, bucket)
 					for r := 0; r < n; r++ {
 						for i := range flat[r] {
 							if flat[r][i] != hier[r][i] {
 								t.Fatalf("rank %d elem %d: flat %v, hierarchical %v", r, i, flat[r][i], hier[r][i])
 							}
-							if flatSelf[r][i] != hierSelf[r][i] {
-								t.Fatalf("rank %d SelfDecoded[%d]: flat %v, hierarchical %v", r, i, flatSelf[r][i], hierSelf[r][i])
+							if math.Float32bits(flatRes[r][i]) != math.Float32bits(hierRes[r][i]) {
+								t.Fatalf("rank %d residual[%d]: flat %v, hierarchical %v", r, i, flatRes[r][i], hierRes[r][i])
 							}
 						}
 					}

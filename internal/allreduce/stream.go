@@ -17,13 +17,12 @@ type StreamOptions struct {
 	// cap block until earlier buckets complete, bounding memory and keeping
 	// the reserved tag band collision-free.
 	MaxInFlight int
-	// SelfDecoded, when non-nil, receives the decode of this rank's own
-	// payloads at [Lo:Hi) of each bucket — the values the wire actually
-	// carried — which error feedback needs to compute its residual. It must
-	// be long enough to index every submitted bucket's range. It is filled
-	// for every submitted bucket even in reduce-scatter mode, where this
-	// rank may not own (and so never sums) the bucket.
-	SelfDecoded []float32
+	// Feedback, when non-nil, is this rank's error-feedback residual: each
+	// bucket is encoded through Feedback.Encode at its [Lo:Hi) range, which
+	// compresses data plus the residual and stages the new residual in the
+	// same pass. It must be long enough to index every submitted bucket's
+	// range; the caller commits it once the exchange has succeeded.
+	Feedback *compress.Feedback
 	// ShardBounds, when non-nil, switches the stream from allreduce to
 	// reduce-scatter: entry r of the length Size+1, nondecreasing,
 	// full-vector-covering slice is the start of rank r's owned element
@@ -288,10 +287,11 @@ func (s *Stream) Stats() (CompressedStats, error) {
 // worker pool instead of head-of-line blocking the exchange behind each
 // serial encode. The batching is invisible to every contract: payload bytes
 // are identical (each bucket's encode is independent; within-bucket
-// parallelism is the codec's own byte-identical ParallelEncoder), exchange
-// operations are still posted serially in submission order by this goroutine
-// alone, and a slot is held for every drained bucket, so the in-flight cap
-// and the Results launch-order guarantee are unchanged.
+// parallelism is the codec's own byte-identical split, ParallelEncoder or
+// AppendFeedback), exchange operations are still posted serially in
+// submission order by this goroutine alone, and a slot is held for every
+// drained bucket, so the in-flight cap and the Results launch-order
+// guarantee are unchanged.
 func (s *Stream) launch(inflight chan<- bucketJob) {
 	n := s.c.Size()
 	rank := s.c.Rank()
@@ -369,7 +369,7 @@ func (s *Stream) launch(inflight chan<- bucketJob) {
 // chunk-parallel internally); multiple buckets fan out one-per-task on the
 // pool, nesting-safe with the per-bucket parallelism. The pooled scratch
 // freelists are concurrency-safe channels, so pool workers may Get
-// concurrently.
+// concurrently, and concurrent buckets stage disjoint residual ranges.
 func (s *Stream) encodeBatch(batch []streamSub, jobs []bucketJob) {
 	rank := s.c.Rank()
 	sb := s.opts.ShardBounds
@@ -382,16 +382,23 @@ func (s *Stream) encodeBatch(batch []streamSub, jobs []bucketJob) {
 	}
 	if len(batch) == 1 || kernels.Workers() <= 1 {
 		for i, sub := range batch {
-			scratch := mpi.GetBytes(s.codec.MaxCompressedSize(len(sub.data)))
-			jobs[i].payload = compress.AppendCompressAuto(s.codec, scratch[:0], sub.data)
+			jobs[i].payload = s.encode(sub)
 		}
 		return
 	}
 	kernels.Run(len(batch), func(i int) {
-		sub := batch[i]
-		scratch := mpi.GetBytes(s.codec.MaxCompressedSize(len(sub.data)))
-		jobs[i].payload = compress.AppendCompressAuto(s.codec, scratch[:0], sub.data)
+		jobs[i].payload = s.encode(batch[i])
 	})
+}
+
+// encode compresses one bucket into pooled scratch, through the
+// error-feedback residual when the stream carries one.
+func (s *Stream) encode(sub streamSub) []byte {
+	scratch := mpi.GetBytes(s.codec.MaxCompressedSize(len(sub.data)))
+	if s.opts.Feedback != nil {
+		return s.opts.Feedback.Encode(s.codec, scratch[:0], sub.lo, sub.data)
+	}
+	return compress.AppendCompressAuto(s.codec, scratch[:0], sub.data)
 }
 
 // launchHier posts one bucket's hierarchical sends and receives: members
@@ -456,16 +463,14 @@ func (s *Stream) retire(job bucketJob) {
 
 // reduce is stage 3: decode every rank's payload in rank order, sum, and
 // emit the result. Runs on its own goroutine; it alone mutates stats.
-// Non-owned buckets (reduce-scatter mode) skip the reduction: they decode
-// this rank's own payload for SelfDecoded, wait out the sends, and emit a
-// nil-Sum result.
+// Non-owned buckets (reduce-scatter mode) skip the reduction: they wait out
+// the sends and emit a nil-Sum result.
 //
-// Payloads fold straight into the bucket sum via Codec.DecompressAdd — no
-// per-sender temp materialization or second memory pass. The fold visits
-// ranks in the same order and performs the same per-element FP adds as the
-// old decode-into-scratch-then-add loop, so sums are bitwise unchanged; the
-// one rank whose decode is also needed for the error-feedback contract
-// decodes into SelfDecoded first and accumulates from there.
+// Payloads — this rank's own included — fold straight into the bucket sum
+// via Codec.DecompressAdd, with no per-sender temp or second memory pass.
+// The fold visits ranks in the same order and performs the same
+// per-element FP adds as decoding each payload and then adding it, so sums
+// are bitwise equal to that decode-then-add fold.
 func (s *Stream) reduce(inflight <-chan bucketJob) {
 	n := s.c.Size()
 	rank := s.c.Rank()
@@ -513,18 +518,7 @@ func (s *Stream) reduce(inflight <-chan bucketJob) {
 				}
 				continue
 			}
-			if r == rank && s.opts.SelfDecoded != nil {
-				// Error feedback needs this rank's full decode anyway:
-				// produce it in place, then fold it like any other sender.
-				self := s.opts.SelfDecoded[job.lo:job.hi]
-				if err := s.codec.Decompress(self, payload); err != nil {
-					jobErr = fmt.Errorf("allreduce: bucket %d from rank %d: %w", job.idx, r, err)
-				} else {
-					for i, v := range self {
-						sum[i] += v
-					}
-				}
-			} else if err := s.codec.DecompressAdd(sum, payload); err != nil {
+			if err := s.codec.DecompressAdd(sum, payload); err != nil {
 				jobErr = fmt.Errorf("allreduce: bucket %d from rank %d: %w", job.idx, r, err)
 			}
 			if release {
@@ -561,19 +555,11 @@ func (s *Stream) reduce(inflight <-chan bucketJob) {
 }
 
 // finishUnowned completes a reduce-scatter bucket this rank does not own:
-// decode the rank's own payload for the error-feedback contract, wait for
-// the sends to drain, account the traffic, and emit a nil-Sum result.
+// wait for the sends to drain, account the traffic, and emit a nil-Sum
+// result.
 func (s *Stream) finishUnowned(job bucketJob) {
 	width := job.hi - job.lo
-	var jobErr error
-	if s.opts.SelfDecoded != nil {
-		if err := s.codec.Decompress(s.opts.SelfDecoded[job.lo:job.hi], job.payload); err != nil {
-			jobErr = fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err)
-		}
-	}
-	if err := mpi.WaitAll(job.sendReqs...); err != nil && jobErr == nil {
-		jobErr = err
-	}
+	jobErr := mpi.WaitAll(job.sendReqs...)
 	for _, req := range job.sendReqs {
 		req.Release()
 	}
@@ -615,13 +601,8 @@ func (s *Stream) reduceHier(job bucketJob) {
 	}
 
 	if !h.isLeader {
-		// Member: the only local work is the SelfDecoded contract and
-		// (when owed one) receiving the final sum.
-		if s.opts.SelfDecoded != nil {
-			if err := s.codec.Decompress(s.opts.SelfDecoded[job.lo:job.hi], job.payload); err != nil {
-				fail(fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err))
-			}
-		}
+		// Member: the only local work is (when owed one) receiving the
+		// final sum.
 		fail(mpi.WaitAll(job.sendReqs...))
 		for _, req := range job.sendReqs {
 			req.Release()
@@ -647,16 +628,7 @@ func (s *Stream) reduceHier(job bucketJob) {
 		sum = mpi.GetFloatsZeroed(width) // failed chain recv; keep going so peers drain
 	}
 	job.chainReq = nil
-	if s.opts.SelfDecoded != nil {
-		self := s.opts.SelfDecoded[job.lo:job.hi]
-		if err := s.codec.Decompress(self, job.payload); err != nil {
-			fail(fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err))
-		} else if jobErr == nil {
-			for i, v := range self {
-				sum[i] += v
-			}
-		}
-	} else if jobErr == nil {
+	if jobErr == nil {
 		if err := s.codec.DecompressAdd(sum, job.payload); err != nil {
 			fail(fmt.Errorf("allreduce: bucket %d self decode: %w", job.idx, err))
 		}

@@ -1,6 +1,7 @@
 package allreduce
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -163,8 +164,10 @@ func TestStreamSubmissionOrderIrrelevantToResult(t *testing.T) {
 	}
 }
 
-// TestStreamSelfDecoded: the SelfDecoded sink must receive the decode of
-// this rank's own transmitted payloads, bucket by bucket.
+// TestStreamSelfDecoded: a stream with a Feedback encodes every bucket
+// through it, so once the exchange drains and the step commits, the
+// residual holds data + previous residual minus the decode of this rank's
+// own transmitted payload, bucket by bucket, step after step.
 func TestStreamSelfDecoded(t *testing.T) {
 	const ranks, n, bf = 2, 300, 64
 	data := randomRankData(ranks, n, 13)
@@ -173,32 +176,27 @@ func TestStreamSelfDecoded(t *testing.T) {
 	defer w.Close()
 	err := w.Run(func(c *mpi.Comm) error {
 		rank := c.Rank()
-		local := append([]float32(nil), data[rank]...)
-		self := make([]float32, n)
-		s := NewStream(c, codec, StreamOptions{SelfDecoded: self})
-		go func() {
-			for b := 0; b*bf < n; b++ {
-				lo, hi := b*bf, min(b*bf+bf, n)
-				s.Submit(b, lo, hi, local[lo:hi])
-			}
-			s.CloseSend()
-		}()
-		for r := range s.Results() {
-			if r.Err != nil {
-				return r.Err
-			}
-		}
-		// Expected: decode(compress(bucket)) of the original values.
-		for b := 0; b*bf < n; b++ {
-			lo, hi := b*bf, min(b*bf+bf, n)
-			want := make([]float32, hi-lo)
-			if err := codec.Decompress(want, compress.Encode(codec, data[rank][lo:hi])); err != nil {
-				return err
-			}
-			for i, v := range want {
-				if self[lo+i] != v {
-					t.Errorf("rank %d self-decoded[%d] = %v, want %v", rank, lo+i, self[lo+i], v)
+		fb := compress.NewFeedback(n)
+		for step := 0; step < 2; step++ {
+			local := append([]float32(nil), data[(rank+step)%ranks]...)
+			prev := append([]float32(nil), fb.Residual()...)
+			s := NewStream(c, codec, StreamOptions{Feedback: fb})
+			go func() {
+				for b := 0; b*bf < n; b++ {
+					lo, hi := b*bf, min(b*bf+bf, n)
+					s.Submit(b, lo, hi, local[lo:hi])
 				}
+				s.CloseSend()
+			}()
+			for r := range s.Results() {
+				if r.Err != nil {
+					return r.Err
+				}
+				r.Release()
+			}
+			fb.Commit()
+			if err := checkResidual(rank, codec, fb, data[(rank+step)%ranks], prev, bf); err != nil {
+				return fmt.Errorf("step %d: %w", step, err)
 			}
 		}
 		return nil

@@ -188,7 +188,7 @@ func int8Scale(maxBits uint32) float32 {
 func int8Quantize(q []byte, src []float32, scale float32) {
 	n := len(src)
 	_ = q[:n]
-	if scale == 0 || math.IsNaN(float64(scale)) || math.IsInf(float64(scale), 0) {
+	if !finiteScale(scale) {
 		for i := range q[:n] {
 			q[i] = 0
 		}
@@ -212,19 +212,32 @@ func int8Quantize(q []byte, src []float32, scale float32) {
 	}
 }
 
+// finiteScale reports whether scale is nonzero and finite: the scales that
+// quantize element by element.
+func finiteScale(scale float32) bool {
+	return scale != 0 && !math.IsNaN(float64(scale)) && !math.IsInf(float64(scale), 0)
+}
+
 // quantInt8 rounds v/scale to the nearest integer (ties to even) and clamps
 // to ±127. The magic round is bit-identical to the old
 // math.RoundToEven(float64(v/scale)): both round the exact same float32
 // quotient to nearest-even, and the clamp handles the quotient's worst-case
 // overshoot past ±127 identically.
 func quantInt8(v, scale float32) byte {
+	return byte(int8(int8Round(v, scale)))
+}
+
+// int8Round is quantInt8 before the integer conversion: v/scale rounded to
+// the nearest integer and clamped to ±127, still as a float32. It is never
+// -0 (the magic round yields +0 for every quotient that rounds to zero).
+func int8Round(v, scale float32) float32 {
 	r := (v/scale + roundMagic) - roundMagic
 	if r > 127 {
 		r = 127
 	} else if r < -127 {
 		r = -127
 	}
-	return byte(int8(r))
+	return r
 }
 
 // Decompress implements Codec, 8-wide unrolled.
@@ -254,33 +267,41 @@ func (Int8) Decompress(dst []float32, payload []byte) error {
 	return nil
 }
 
-// DecompressAdd implements Codec: dst[i] += q[i]*scale, 8-wide unrolled.
-// Every element performs the same multiply and add Decompress-then-add
-// would, including the NaN/Inf-scale path (0*NaN = NaN accumulates).
+// DecompressAdd implements Codec: dst[i] += q[i]*scale, on the AVX2 kernel
+// where the CPU has it. Every element performs the same multiply and add
+// Decompress-then-add would, including the NaN/Inf-scale path (0*NaN = NaN
+// accumulates).
 func (Int8) DecompressAdd(dst []float32, payload []byte) error {
 	if len(payload) != 4+len(dst) {
 		return fmt.Errorf("compress: int8 payload %d bytes, want %d", len(payload), 4+len(dst))
 	}
 	scale := math.Float32frombits(binary.LittleEndian.Uint32(payload))
+	int8DecodeAdd(dst, payload[4:4+len(dst)], scale)
+	return nil
+}
+
+// int8DecodeAddGo is the scalar DecompressAdd loop, 8-wide unrolled. The
+// explicit conversions keep each product rounded before the add, so no
+// toolchain may fuse them into a multiply-add the kernel does not perform.
+func int8DecodeAddGo(dst []float32, p []byte, scale float32) {
 	n := len(dst)
-	p := payload[4 : 4+n]
+	p = p[:n]
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		d := dst[i : i+8 : i+8]
 		s := p[i : i+8 : i+8]
-		d[0] += float32(int8(s[0])) * scale
-		d[1] += float32(int8(s[1])) * scale
-		d[2] += float32(int8(s[2])) * scale
-		d[3] += float32(int8(s[3])) * scale
-		d[4] += float32(int8(s[4])) * scale
-		d[5] += float32(int8(s[5])) * scale
-		d[6] += float32(int8(s[6])) * scale
-		d[7] += float32(int8(s[7])) * scale
+		d[0] += float32(float32(int8(s[0])) * scale)
+		d[1] += float32(float32(int8(s[1])) * scale)
+		d[2] += float32(float32(int8(s[2])) * scale)
+		d[3] += float32(float32(int8(s[3])) * scale)
+		d[4] += float32(float32(int8(s[4])) * scale)
+		d[5] += float32(float32(int8(s[5])) * scale)
+		d[6] += float32(float32(int8(s[6])) * scale)
+		d[7] += float32(float32(int8(s[7])) * scale)
 	}
 	for ; i < n; i++ {
-		dst[i] += float32(int8(p[i])) * scale
+		dst[i] += float32(float32(int8(p[i])) * scale)
 	}
-	return nil
 }
 
 // magSorter orders candidate indices by descending magnitude of the bucket
@@ -469,12 +490,15 @@ func (t TopK) AppendCompress(dst []byte, src []float32) []byte {
 	k := t.keep(n)
 	s := getTopkBuf(n, k)
 	magKeys(s.keys, src, 0)
-	return t.appendSelected(dst, src, s, k)
+	dst = t.appendSelected(dst, src, s, k)
+	putTopkBuf(s)
+	return dst
 }
 
 // appendSelected finishes an encode whose candidate keys are already built
 // (serially above, or chunk-parallel via AppendCompressParallel): select the
-// k largest keys, recover their indices, and write the canonical payload.
+// k largest keys, recover their indices into s.kept, and write the canonical
+// payload. The caller returns s to the freelist.
 func (t TopK) appendSelected(dst []byte, src []float32, s *topkBuf, k int) []byte {
 	selectTopKeys(s.keys, k)
 	kept := s.kept[:k]
@@ -490,7 +514,6 @@ func (t TopK) appendSelected(dst []byte, src []float32, s *topkBuf, k int) []byt
 		binary.LittleEndian.PutUint32(b[4+4*i:], uint32(j))
 		binary.LittleEndian.PutUint32(b[4+4*k+4*i:], math.Float32bits(src[j]))
 	}
-	putTopkBuf(s)
 	return dst
 }
 

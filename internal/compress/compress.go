@@ -9,7 +9,9 @@
 //
 // Lossy codecs pair with error-feedback residual accumulation (Feedback):
 // the compression error of step t is added back into the gradient of step
-// t+1, which restores convergence for aggressive sparsification.
+// t+1, which restores convergence for aggressive sparsification. Each codec
+// computes that residual inside its encode (Codec.AppendFeedback), in the
+// same pass that writes the payload.
 package compress
 
 import (
@@ -47,6 +49,16 @@ type Codec interface {
 	// bucket accumulators start at +0 and can never become -0 by adding
 	// payloads, so the fused path is bitwise-safe in the reduction.
 	DecompressAdd(dst []float32, payload []byte) error
+	// AppendFeedback is AppendCompress with the error-feedback residual
+	// fused in (Feedback.Encode drives it): it appends the encoding of
+	// v = g + cur to dst and writes next[i] = v[i] - decoded[i], where
+	// decoded is exactly what Decompress produces from the appended
+	// payload — so the payload bytes equal AppendCompress(v) and the
+	// residual equals the decode-then-subtract one bit for bit, without
+	// materializing v or the decode. g, cur and next have equal lengths and
+	// next aliases neither input. Large buckets split across the worker
+	// pool like AppendCompressParallel, with identical results.
+	AppendFeedback(dst []byte, g, cur, next []float32) []byte
 }
 
 // Encode compresses src into a fresh payload — the convenience form for
@@ -68,7 +80,8 @@ type Config struct {
 	// BucketFloats is the bucketed-allreduce bucket size in float32 elements
 	// (default 16384 = 64 KiB uncompressed).
 	BucketFloats int
-	// ErrorFeedback enables residual accumulation for lossy codecs.
+	// ErrorFeedback enables residual accumulation for lossy codecs (see
+	// Lossy); it has no effect on the identity codec.
 	ErrorFeedback bool
 }
 
@@ -100,38 +113,10 @@ func New(cfg Config) (Codec, error) {
 	}
 }
 
-// Feedback maintains the error-feedback residual e_t across steps:
-//
-//	g'_t = g_t + e_t          (CorrectAt)
-//	sent = D(C(g'_t))         (what the wire actually carried)
-//	e_{t+1} = g'_t - sent     (Update)
-//
-// so no gradient mass is lost to compression — it is merely delayed.
-type Feedback struct {
-	residual []float32
+// Lossy reports whether c can change the values it carries. Error feedback
+// only pays off for lossy codecs: through the identity codec the residual
+// is always zero.
+func Lossy(c Codec) bool {
+	_, identity := c.(Identity)
+	return !identity
 }
-
-// NewFeedback creates a zeroed residual for gradients of length n.
-func NewFeedback(n int) *Feedback {
-	return &Feedback{residual: make([]float32, n)}
-}
-
-// CorrectAt adds residual[off : off+len(g)) into g in place — the bucketed
-// step applies it as each bucket is packed.
-func (f *Feedback) CorrectAt(off int, g []float32) {
-	for i, r := range f.residual[off : off+len(g)] {
-		g[i] += r
-	}
-}
-
-// Update records the new residual given the corrected gradient and the
-// values the codec actually transmitted.
-func (f *Feedback) Update(corrected, sent []float32) {
-	for i := range f.residual {
-		f.residual[i] = corrected[i] - sent[i]
-	}
-}
-
-// Residual exposes the current residual (read-only by convention; tests use
-// it to assert the accounting identity).
-func (f *Feedback) Residual() []float32 { return f.residual }

@@ -217,29 +217,35 @@ func TestTopKBadIndexLeavesDstUntouched(t *testing.T) {
 	}
 }
 
-// The error-feedback identity: after Correct/Update, residual + sent ==
-// gradient + previous residual, so across steps the cumulative transmitted
-// mass equals the cumulative gradient mass exactly.
+// The error-feedback identity: after each step's Encodes and Commit,
+// residual + sent == gradient + previous residual, so across steps the
+// cumulative transmitted mass equals the cumulative gradient mass exactly.
+// The residual only moves at Commit: the step's Encodes leave it untouched.
 func TestFeedbackAccountingIdentity(t *testing.T) {
-	const n = 512
+	const n, bucket = 512, 100
 	f := NewFeedback(n)
 	codec := TopK{Ratio: 0.05}
-	var cumGrad, cumSent []float64
-	cumGrad = make([]float64, n)
-	cumSent = make([]float64, n)
-	g := make([]float32, n)
+	cumGrad := make([]float64, n)
+	cumSent := make([]float64, n)
 	sent := make([]float32, n)
 	for step := 0; step < 20; step++ {
-		copy(g, randVec(n, int64(step)))
+		g := randVec(n, int64(step))
 		for i, v := range g {
 			cumGrad[i] += float64(v)
 		}
-		f.CorrectAt(0, g)
-		corrected := append([]float32(nil), g...)
-		if err := codec.Decompress(sent, Encode(codec, g)); err != nil {
-			t.Fatal(err)
+		before := append([]float32(nil), f.Residual()...)
+		for lo := 0; lo < n; lo += bucket {
+			hi := min(lo+bucket, n)
+			if err := codec.Decompress(sent[lo:hi], f.Encode(codec, nil, lo, g[lo:hi])); err != nil {
+				t.Fatal(err)
+			}
 		}
-		f.Update(corrected, sent)
+		for i, r := range f.Residual() {
+			if math.Float32bits(r) != math.Float32bits(before[i]) {
+				t.Fatalf("step %d: element %d of the residual moved before Commit", step, i)
+			}
+		}
+		f.Commit()
 		for i, v := range sent {
 			cumSent[i] += float64(v)
 		}

@@ -27,6 +27,12 @@ import (
 // gate.
 const encodeMinFloats = 8192
 
+// parallelEncode reports whether an n-float bucket's encode passes should be
+// split across the worker pool.
+func parallelEncode(n int) bool {
+	return n >= encodeMinFloats && kernels.Workers() > 1
+}
+
 // encodeGrain is the minimum elements per worker range for the element-wise
 // passes — small enough to balance, large enough that a range amortizes its
 // share of the fork-join.
@@ -62,7 +68,7 @@ func AppendCompressAuto(c Codec, dst []byte, src []float32) []byte {
 // disjoint element ranges.
 func (c Identity) AppendCompressParallel(dst []byte, src []float32) []byte {
 	n := len(src)
-	if n < encodeMinFloats || kernels.Workers() <= 1 {
+	if !parallelEncode(n) {
 		return c.AppendCompress(dst, src)
 	}
 	off := len(dst)
@@ -81,7 +87,7 @@ func (c Identity) AppendCompressParallel(dst []byte, src []float32) []byte {
 // quantize pass is element-wise.
 func (c Int8) AppendCompressParallel(dst []byte, src []float32) []byte {
 	n := len(src)
-	if n < encodeMinFloats || kernels.Workers() <= 1 {
+	if !parallelEncode(n) {
 		return c.AppendCompress(dst, src)
 	}
 	var part [maxChunks]uint32
@@ -112,7 +118,7 @@ func (c Int8) AppendCompressParallel(dst []byte, src []float32) []byte {
 // shared key array, identical to the serial finish.
 func (t TopK) AppendCompressParallel(dst []byte, src []float32) []byte {
 	n := len(src)
-	if n < encodeMinFloats || kernels.Workers() <= 1 {
+	if !parallelEncode(n) {
 		return t.AppendCompress(dst, src)
 	}
 	k := t.keep(n)
@@ -120,14 +126,16 @@ func (t TopK) AppendCompressParallel(dst []byte, src []float32) []byte {
 	kernels.RunRange(n, encodeGrain, func(lo, hi int) {
 		magKeys(s.keys[lo:hi], src[lo:hi], lo)
 	})
-	return t.appendSelected(dst, src, s, k)
+	dst = t.appendSelected(dst, src, s, k)
+	putTopkBuf(s)
+	return dst
 }
 
 // AppendCompressParallel implements ParallelEncoder: per-element conversion,
 // disjoint ranges.
 func (c Float16) AppendCompressParallel(dst []byte, src []float32) []byte {
 	n := len(src)
-	if n < encodeMinFloats || kernels.Workers() <= 1 {
+	if !parallelEncode(n) {
 		return c.AppendCompress(dst, src)
 	}
 	off := len(dst)
@@ -143,7 +151,7 @@ func (c Float16) AppendCompressParallel(dst []byte, src []float32) []byte {
 // disjoint ranges.
 func (c BFloat16) AppendCompressParallel(dst []byte, src []float32) []byte {
 	n := len(src)
-	if n < encodeMinFloats || kernels.Workers() <= 1 {
+	if !parallelEncode(n) {
 		return c.AppendCompress(dst, src)
 	}
 	off := len(dst)

@@ -15,13 +15,13 @@ import (
 //
 //	ready bucket (Overlap: readiness hook during backward;
 //	              phased: every bucket right after backward)
-//	   └─ packer: intra-node reduce the bucket, error-feedback correct,
-//	      submit to the Stream  (launch order: descending bucket index,
-//	      agreed across ranks)
-//	        └─ stream: compress → Isend/Irecv → decode+sum
-//	             └─ collector: copy the sum into sums
+//	   └─ packer: intra-node reduce the bucket, submit it to the Stream
+//	      (launch order: descending bucket index, agreed across ranks)
+//	        └─ stream: compress (error feedback: + residual, staging the
+//	           next residual in the same pass) → Isend/Irecv → decode+sum
+//	             └─ collector: copy the sum back over the bucket's gradient
 //	then, once the stream drains, one tail:
-//	   feedback update → scale → optimizer step
+//	   feedback commit → scale → optimizer step
 //	   (ShardOptimizer: the shard step plus the parameter allgather)
 //
 // Overlap is only a launch policy: it decides when the packer sees a
@@ -135,7 +135,7 @@ func (l *Learner) stepBuckets(t1 time.Time) (float64, error) {
 	// which keeps the full allreduce exchange).
 	stream := allreduce.NewStream(l.comm, l.codec, allreduce.StreamOptions{
 		MaxInFlight: l.cfg.OverlapInFlight,
-		SelfDecoded: l.selfDecoded,
+		Feedback:    l.feedback,
 		ShardBounds: l.elemBounds,
 		Topology:    l.topo,
 	})
@@ -173,12 +173,12 @@ func (l *Learner) stepBuckets(t1 time.Time) (float64, error) {
 		return 0, err
 	}
 
-	// The tail. sums holds the global sum over every bucket this rank owns
-	// (all of them unless sharded).
+	// The tail. gradBuf holds the global sum over every bucket this rank
+	// owns (all of them unless sharded). Every bucket was encoded, so the
+	// staged residual is complete; it is rank-local and full-length under
+	// sharding too. Committing only here leaves a failed step no trace.
 	if l.feedback != nil {
-		// The residual is rank-local (own corrected gradient vs own
-		// transmitted payloads), so it stays full-length under sharding.
-		l.feedback.Update(l.gradBuf, l.selfDecoded)
+		l.feedback.Commit()
 	}
 	t3 := time.Now()
 	l.phases.AllReduce += t3.Sub(t2).Seconds()
@@ -186,7 +186,7 @@ func (l *Learner) stepBuckets(t1 time.Time) (float64, error) {
 	if l.shardOpt != nil {
 		lo, hi = l.shardRange()
 	}
-	g := l.sums[lo:hi]
+	g := l.gradBuf[lo:hi]
 	if l.scale != 1 {
 		for i := range g {
 			g[i] *= l.scale
@@ -194,7 +194,7 @@ func (l *Learner) stepBuckets(t1 time.Time) (float64, error) {
 	}
 	lr := l.currentLR()
 	if l.shardOpt == nil {
-		if err := l.engine.SetGrads(l.sums); err != nil {
+		if err := l.engine.SetGrads(l.gradBuf); err != nil {
 			return 0, err
 		}
 		for _, o := range l.opts {
@@ -220,10 +220,10 @@ func (l *Learner) stepBuckets(t1 time.Time) (float64, error) {
 }
 
 // pack serializes ready buckets into the launch order agreed across ranks —
-// descending bucket index, i.e. backward order — then intra-node reduces,
-// error-feedback corrects and submits each. (The Stream's ordering contract
-// forbids launching in raw readiness order: with a bounded in-flight
-// window, ranks launching different orders can deadlock.)
+// descending bucket index, i.e. backward order — then intra-node reduces
+// and submits each. (The Stream's ordering contract forbids launching in
+// raw readiness order: with a bounded in-flight window, ranks launching
+// different orders can deadlock.)
 func (l *Learner) pack(stream *allreduce.Stream) {
 	p := l.plan
 	defer stream.CloseSend()
@@ -240,17 +240,15 @@ func (l *Learner) pack(stream *allreduce.Stream) {
 				p.packErr <- err
 				return
 			}
-			if l.feedback != nil {
-				l.feedback.CorrectAt(lo, seg)
-			}
 			stream.Submit(next, lo, hi, seg)
 		}
 	}
 	p.packErr <- nil
 }
 
-// collect copies every reduced bucket into sums as it lands and releases
-// its pooled buffer. Buckets a sharded rank does not own carry no Sum.
+// collect copies every reduced bucket over its range of gradBuf as it lands
+// (the stream has already encoded that range) and releases its pooled
+// buffer. Buckets a sharded rank does not own carry no Sum.
 func (l *Learner) collect(stream *allreduce.Stream) {
 	var firstErr error
 	for res := range stream.Results() {
@@ -258,7 +256,7 @@ func (l *Learner) collect(stream *allreduce.Stream) {
 			firstErr = res.Err
 		}
 		if res.Sum != nil {
-			copy(l.sums[res.Lo:res.Hi], res.Sum)
+			copy(l.gradBuf[res.Lo:res.Hi], res.Sum)
 		}
 		res.Release()
 	}

@@ -20,7 +20,7 @@
 //   - bucketed (buckets.go): every learner with a codec — set explicitly, or
 //     implied by Overlap, ShardOptimizer or Topology — reduces fixed-size
 //     gradient buckets through one allreduce.Stream, then runs one tail
-//     (error-feedback update, scale, optimizer step) after the last bucket
+//     (error-feedback commit, scale, optimizer step) after the last bucket
 //     lands.
 //
 // The options only parameterize the bucketed path:
@@ -216,7 +216,7 @@ type Config struct {
 // reduces each bucket intra-node inside its exchange pipeline, so that time
 // lands in AllReduce (or, under Config.Overlap, partly under Compute).
 // There, Update is the tail's optimizer step and AllReduce is all other
-// time after backward — the exposed exchange, the error-feedback update
+// time after backward — the exposed exchange, the error-feedback commit
 // and, when sharded, the parameter allgather. A shrinking AllReduce share
 // against the phased baseline is the overlap win.
 type PhaseTimes struct {
@@ -248,12 +248,10 @@ type Learner struct {
 
 	// Bucketed-step state (nil/empty on the uncompressed path); see
 	// buckets.go.
-	codec       compress.Codec
-	plan        *bucketPlan
-	feedback    *compress.Feedback
-	sums        []float32 // reduced buckets; aliases gradBuf unless feedback keeps it
-	selfDecoded []float32 // decode of this rank's own transmitted payloads
-	commStats   allreduce.CompressedStats
+	codec     compress.Codec
+	plan      *bucketPlan
+	feedback  *compress.Feedback // nil without error feedback or with a lossless codec
+	commStats allreduce.CompressedStats
 
 	// Sharded-optimizer state (nil/empty when ShardOptimizer is off); see
 	// sharded.go. elemBounds is the param-aligned shard layout (length
@@ -313,13 +311,8 @@ func NewLearner(comm *mpi.Comm, replicas []nn.Layer, source BatchSource, inputC,
 		if cfg.Compression.Enabled() {
 			engine.SetCompression(cfg.Compression)
 		}
-		l.sums = l.gradBuf
-		if cfg.Compression.ErrorFeedback {
-			// gradBuf keeps the corrected gradient for the residual update,
-			// so the sums land in a buffer of their own.
+		if cfg.Compression.ErrorFeedback && compress.Lossy(codec) {
 			l.feedback = compress.NewFeedback(engine.GradSize())
-			l.sums = make([]float32, engine.GradSize())
-			l.selfDecoded = make([]float32, engine.GradSize())
 		}
 	}
 	m := engine.NumDevices()

@@ -2,14 +2,11 @@
 
 package tensor
 
-// useAVX2 selects the assembly kernels in gemm_amd64.s, set once from the
-// CPU probe.
-var useAVX2 = cpuHasAVX2()
+import "repro/internal/kernels"
 
-// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches (CPUID OSXSAVE, XCR0 bits 1–2, and
-// leaf-7 AVX2).
-func cpuHasAVX2() bool
+// useAVX2 selects the assembly kernels in gemm_amd64.s, set once from the
+// shared CPU probe.
+var useAVX2 = kernels.HasAVX2()
 
 //go:noescape
 func axpy4x16AVX2(k int, ap, b *float32, ldb int, c *float32, ldc int)
